@@ -21,31 +21,6 @@ std::uint64_t Table::JoinIndex::hash_key(const std::vector<Value>& key) {
   return h;
 }
 
-void Table::JoinIndex::prefetch(std::uint64_t hash) const {
-  if (slots.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(&slots[hash & (slots.size() - 1)]);
-#endif
-}
-
-void Table::JoinIndex::prefetch_bucket(std::uint64_t hash) const {
-  if (slots.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-  // Walk the (already prefetched) probe chain to the first hash match and
-  // start its bucket's line -- the key compare in lookup() then reads a
-  // warm bucket instead of stalling on slot -> bucket -> key in sequence.
-  const std::size_t mask = slots.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot& slot = slots[i];
-    if (slot.bucket == kEmptySlot) return;
-    if (slot.hash == hash) {
-      __builtin_prefetch(&buckets[slot.bucket]);
-      return;
-    }
-  }
-#endif
-}
-
 const std::vector<Table::JoinIndex::Entry>* Table::JoinIndex::lookup(
     std::uint64_t hash, const std::vector<Value>& key) const {
   if (slots.empty()) return nullptr;

@@ -41,15 +41,13 @@ using ColumnSet = std::vector<std::size_t>;
 class Table {
  public:
   /// One secondary index: probe projection -> bucket of live rows, stored as
-  /// an open-addressing hash table (power-of-two slot array, linear probing)
-  /// shaped for the batch probe pipeline: the engine hashes a whole frontier
-  /// of probe keys, prefetches their slot clusters, then looks each up
-  /// against slots that are already in cache. Slots and buckets are never
-  /// deleted -- a bucket whose rows all die stays behind empty -- so probing
-  /// needs no tombstones and bucket indices stay stable. Entries point into
-  /// live_ map nodes (stable until erase) and stay sorted by the live-map
-  /// key, i.e. in for_each_live() order, which is what keeps indexed joins
-  /// byte-identical to the reference scan.
+  /// an open-addressing hash table (power-of-two slot array, linear
+  /// probing). Slots and buckets are never deleted -- a bucket whose rows
+  /// all die stays behind empty -- so probing needs no tombstones and bucket
+  /// indices stay stable. Entries point into live_ map nodes (stable until
+  /// erase) and stay sorted by the live-map key, i.e. in for_each_live()
+  /// order, which is what keeps indexed joins byte-identical to the
+  /// reference scan.
   struct JoinIndex {
     struct Entry {
       const std::vector<Value>* live_key;
@@ -73,15 +71,6 @@ class Table {
     /// garbage.
     static void set_hash_for_testing(HashFn fn);
     [[nodiscard]] static std::uint64_t hash_key(const std::vector<Value>& key);
-
-    /// Prefetches the slot cluster for `hash` (the gather->hash->prefetch->
-    /// lookup stages of the batch probe).
-    void prefetch(std::uint64_t hash) const;
-
-    /// Follow-up stage once the slot cluster is in cache: walks the probe
-    /// chain to the hash's bucket (if any) and prefetches it, so lookup()'s
-    /// key compare does not stall on the slot -> bucket dependency.
-    void prefetch_bucket(std::uint64_t hash) const;
 
     /// The live entries whose projection equals `key`, or nullptr if none.
     /// `hash` must be hash_key(key).
@@ -163,8 +152,7 @@ class Table {
 
   /// The secondary index for `cols` (sorted, non-empty), materialized from
   /// the live view on first use and maintained incrementally afterwards.
-  /// The batch executor probes it directly (hash_key/prefetch/lookup)
-  /// instead of going through the per-probe for_each_live_matching shim.
+  /// for_each_live_matching probes it; exposed for white-box tests.
   [[nodiscard]] const JoinIndex& index_for(const ColumnSet& cols) const;
 
   /// Deterministic iteration over tuples alive at time `at`.

@@ -10,23 +10,14 @@ namespace dp {
 
 namespace {
 
-/// Never-enabled sink for spans gated off by EngineConfig::trace_rule_firings
-/// (Span activates on tracer.enabled(), so pointing it here keeps the gate to
-/// one branch without a second code path).
-obs::Tracer& disabled_tracer() {
-  static obs::Tracer off;
-  return off;
-}
-
 /// Span + latency sample for one rule firing. Inert -- two relaxed loads and
 /// branches -- unless the firing is actually traced; safe across the fire
 /// functions' many early returns (RAII).
 class FiringScope {
  public:
-  FiringScope(bool want, const std::string& label, obs::Histogram* hist,
+  FiringScope(const std::string& label, obs::Histogram* hist,
               obs::QuantileSketch* sketch)
-      : span_(want ? obs::default_tracer() : disabled_tracer(), label,
-              "rule") {
+      : span_(obs::default_tracer(), label, "rule") {
     if (span_.active()) {
       hist_ = hist;
       sketch_ = sketch;
@@ -59,29 +50,6 @@ Engine::Engine(Program program, EngineConfig config)
     listeners_.emplace(name, program_.rules_listening_to(name));
   }
   if (config_.use_join_plans) plans_ = compile_rule_plans(program_);
-  if (config_.use_join_plans && config_.use_batch_exec) {
-    // Batch-formation metadata: per trigger table, the set of tables its
-    // plans read (probe or scan), as a bitmask over table ordinals. An event
-    // whose table is in the running union of the masks of already-admitted
-    // deltas cannot join the batch -- their firings must not see its tuple.
-    std::uint32_t ord = 0;
-    for (const auto& [name, decl] : program_.tables()) {
-      table_ord_.emplace(name, ord++);
-    }
-    mask_words_ = (table_ord_.size() + 63) / 64;
-    probe_masks_.assign(table_ord_.size() * mask_words_, 0);
-    for (const auto& [trigger_table, plans] : plans_) {
-      std::uint64_t* row = probe_masks_.data() +
-                           table_ord_.at(trigger_table) * mask_words_;
-      for (const RulePlan& plan : plans) {
-        for (const JoinStep& step : plan.steps) {
-          const std::uint32_t bit = table_ord_.at(step.table);
-          row[bit / 64] |= std::uint64_t{1} << (bit % 64);
-        }
-      }
-    }
-    forbidden_scratch_.assign(mask_words_, 0);
-  }
 
   metrics_ = config_.metrics;
   if (metrics_ == nullptr) {
@@ -100,9 +68,6 @@ Engine::Engine(Program program, EngineConfig config)
   }
   fire_hist_ = &metrics_->histogram("dp.runtime.rule_fire_us");
   fire_sketch_ = &metrics_->sketch("dp.runtime.rule_fire_us");
-  batch_size_hist_ = &metrics_->histogram(
-      "dp.engine.batch.size",
-      {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096});
 }
 
 void Engine::add_link(const NodeName& a, const NodeName& b,
@@ -229,201 +194,17 @@ void Engine::schedule_delete(Tuple tuple, LogicalTime at) {
 
 void Engine::run() {
   DP_SPAN_CAT("dp.runtime.run", "runtime");
-  while (!queue_.empty()) {
-    step_queue(/*bounded=*/false, 0);
-  }
+  while (!queue_.empty()) process(pop_event());
   publish_metrics();
 }
 
 void Engine::run_until(LogicalTime until) {
   DP_SPAN_CAT("dp.runtime.run_until", "runtime");
   while (!queue_.empty() && queue_.front().time <= until) {
-    step_queue(/*bounded=*/true, until);
+    process(pop_event());
   }
   now_ = std::max(now_, until);
   publish_metrics();
-}
-
-bool Engine::batch_admissible(const Event& event, LogicalTime t,
-                              const TableDecl& decl,
-                              std::uint32_t ord) const {
-  if (event.time != t) return false;
-  if (event.kind != Event::Kind::kBaseInsert &&
-      event.kind != Event::Kind::kDerivedInsert) {
-    return false;  // deletes and aggregates mutate state mid-step: run solo
-  }
-  const Tuple& tuple = event.tuple;
-  // An earlier batched delta's firings must not see this tuple (phase A
-  // inserts the whole batch before phase B fires anything, but the row
-  // engine would not have inserted it yet).
-  const std::uint64_t* forbidden = forbidden_scratch_.data();
-  if ((forbidden[ord / 64] >> (ord % 64)) & 1) return false;
-  if (decl.is_event()) return true;  // never materialized: nothing to clash
-  // A duplicate or key-displacing insert takes the single-event path, where
-  // the existing dedup/retraction logic runs in delta order.
-  std::vector<Value> key;
-  if (decl.key_columns.empty()) {
-    key = tuple.values();
-  } else {
-    key.reserve(decl.key_columns.size());
-    for (const std::size_t col : decl.key_columns) key.push_back(tuple.at(col));
-  }
-  if (const Table* table = find_table(tuple.location(), tuple.table());
-      table != nullptr && table->live_by_key(key) != nullptr) {
-    return false;
-  }
-  return pending_keys_.count({tuple.location(), tuple.table(), key}) == 0;
-}
-
-void Engine::step_queue(bool bounded, LogicalTime until) {
-  (void)bounded;
-  (void)until;  // admission beyond the head is same-time, so <= until holds
-  if (!config_.use_join_plans || !config_.use_batch_exec) {
-    const Event event = pop_event();
-    process(event);
-    return;
-  }
-
-  // Try to grow batches from the queue head: maximal same-time runs of
-  // insert events that can all be applied before any of them fires. Events
-  // that cannot (deletes, aggregates, duplicates, displacing upserts, an
-  // event whose budget crossing must throw, or a tuple an earlier delta's
-  // rules probe) flush the batch and take the single-event path, which
-  // preserves the row engine's semantics exactly.
-  const LogicalTime t = queue_.front().time;
-
-  // One-entry table cache: a run overwhelmingly repeats a handful of tables,
-  // so the two ordered-map lookups behind every admission check collapse to
-  // one string compare. The cached name must point into storage that stays
-  // put between admission checks (the bulk-drained run does; the heap does
-  // not -- the per-pop loop below invalidates after every pop).
-  const std::string* cached_table = nullptr;
-  const TableDecl* cached_decl = nullptr;
-  std::uint32_t cached_ord = 0;
-  const auto resolve = [&](const std::string& name) {
-    if (cached_table == nullptr || *cached_table != name) {
-      cached_decl = &program_.table(name);
-      cached_ord = table_ord_.at(name);
-      cached_table = &name;
-    }
-  };
-  // Admits `head` into the batch being formed (`formed` deltas so far):
-  // checks the budget and the admission rules, then records the pending key
-  // and the tables its firings will probe. The event that crosses max_events
-  // must throw from process(), so admission stops just before the budget and
-  // the crossing event arrives there alone.
-  const auto admit = [&](const Event& head, std::size_t formed) {
-    const bool over_budget =
-        config_.max_events != 0 &&
-        stats_.events_processed + formed + 1 > config_.max_events;
-    if (over_budget) return false;
-    const Tuple& tuple = head.tuple;
-    resolve(tuple.table());
-    if (!batch_admissible(head, t, *cached_decl, cached_ord)) return false;
-    if (!cached_decl->is_event()) {
-      pending_keys_.emplace(tuple.location(), tuple.table(),
-                            cached_decl->key_columns.empty()
-                                ? tuple.values()
-                                : [&] {
-                                    std::vector<Value> key;
-                                    key.reserve(cached_decl->key_columns.size());
-                                    for (const std::size_t col :
-                                         cached_decl->key_columns) {
-                                      key.push_back(tuple.at(col));
-                                    }
-                                    return key;
-                                  }());
-    }
-    const std::uint64_t* mask =
-        probe_masks_.data() + cached_ord * mask_words_;
-    for (std::size_t w = 0; w < mask_words_; ++w) {
-      forbidden_scratch_[w] |= mask[w];
-    }
-    return true;
-  };
-
-  // Bulk drain: when the head's same-time run is long, extract the whole run
-  // from the heap in one partition pass -- two moves per event instead of a
-  // log(queue)-deep sift per pop -- and consume it right here, batch by
-  // batch with ineligible events processed solo in between. Short runs keep
-  // the per-pop path below: for them the scan and heap rebuild would cost
-  // more than the sifts they replace.
-  constexpr std::size_t kBulkDrainMin = 64;
-  std::size_t same_time = 0;
-  for (const Event& event : queue_) {
-    if (event.time == t && ++same_time >= kBulkDrainMin) break;
-  }
-  if (same_time >= kBulkDrainMin) {
-    const auto mid =
-        std::partition(queue_.begin(), queue_.end(),
-                       [t](const Event& event) { return event.time != t; });
-    // All times in the run are equal, so seq order is exactly pop order.
-    // The run often comes out already in order -- a wave of schedule calls
-    // or a batch's emissions heap-push in increasing seq without sifting --
-    // but leftover emissions interleaved with a fresh wave do need sorting.
-    // Order 16-byte (seq, position) keys and move each Event once into
-    // place rather than letting std::sort shuffle the Event objects around.
-    const std::size_t run_len = static_cast<std::size_t>(queue_.end() - mid);
-    run_keys_.clear();
-    run_keys_.reserve(run_len);
-    bool run_sorted = true;
-    for (std::size_t i = 0; i < run_len; ++i) {
-      const std::uint64_t seq = (mid + static_cast<std::ptrdiff_t>(i))->seq;
-      if (!run_keys_.empty() && seq < run_keys_.back().first) {
-        run_sorted = false;
-      }
-      run_keys_.emplace_back(seq, static_cast<std::uint32_t>(i));
-    }
-    if (!run_sorted) std::sort(run_keys_.begin(), run_keys_.end());
-    run_scratch_.clear();
-    run_scratch_.reserve(run_len);
-    for (const auto& key : run_keys_) {
-      run_scratch_.push_back(
-          std::move(*(mid + static_cast<std::ptrdiff_t>(key.second))));
-    }
-    queue_.erase(mid, queue_.end());
-    std::make_heap(queue_.begin(), queue_.end(), std::greater<>{});
-    std::size_t cursor = 0;
-    while (cursor < run_scratch_.size()) {
-      std::fill(forbidden_scratch_.begin(), forbidden_scratch_.end(), 0);
-      pending_keys_.clear();
-      const std::size_t begin = cursor;
-      while (cursor < run_scratch_.size() &&
-             admit(run_scratch_[cursor], cursor - begin)) {
-        ++cursor;
-      }
-      if (cursor > begin) {
-        process_batch(run_scratch_.data() + begin, cursor - begin);
-        continue;
-      }
-      // Head not batchable: single-event path (also the only path that can
-      // throw the event-budget error, keeping its timing identical).
-      process(run_scratch_[cursor++]);
-    }
-    run_scratch_.clear();
-    return;
-  }
-
-  std::fill(forbidden_scratch_.begin(), forbidden_scratch_.end(), 0);
-  pending_keys_.clear();
-  batch_scratch_.clear();
-  while (!queue_.empty() && queue_.front().time == t &&
-         admit(queue_.front(), batch_scratch_.size())) {
-    batch_scratch_.push_back(pop_event());
-    // pop_event sifts other events through the slot the cache points into;
-    // unlike the stable bulk-drained run, the bytes there can become a
-    // different (valid) table name while cached_decl stays stale.
-    cached_table = nullptr;
-  }
-
-  if (batch_scratch_.empty()) {
-    // Head not batchable: single-event path (also the only path that can
-    // throw the event-budget error, keeping its timing identical).
-    const Event event = pop_event();
-    process(event);
-    return;
-  }
-  process_batch(batch_scratch_.data(), batch_scratch_.size());
 }
 
 void Engine::process(const Event& event) {
@@ -658,8 +439,7 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
                        const Tuple& arrival, LogicalTime t) {
   const std::size_t rule_index =
       static_cast<std::size_t>(&rule - program_.rules().data());
-  FiringScope firing_scope(config_.trace_rule_firings,
-                           rule_span_labels_[rule_index], fire_hist_,
+  FiringScope firing_scope(rule_span_labels_[rule_index], fire_hist_,
                            fire_sketch_);
   const NodeName& node = arrival.location();
 
@@ -835,8 +615,7 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
 void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
                                LogicalTime t) {
   const Rule& rule = program_.rules()[plan.rule_index];
-  FiringScope firing_scope(config_.trace_rule_firings,
-                           rule_span_labels_[plan.rule_index], fire_hist_,
+  FiringScope firing_scope(rule_span_labels_[plan.rule_index], fire_hist_,
                            fire_sketch_);
   const NodeName& node = arrival.location();
 
@@ -860,14 +639,18 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
   // Depth-first join over the planned steps. Registers are written exactly
   // once per root-to-leaf path before any read (static binding discipline),
   // so backtracking needs no save/restore; complete matches snapshot the
-  // register file.
-  std::vector<PlanMatch> matches;
+  // register file and the chosen row per original body atom.
+  struct Match {
+    Regs regs;
+    std::vector<const Tuple*> chosen;
+  };
+  std::vector<Match> matches;
   std::vector<const Tuple*> chosen(rule.body.size(), nullptr);
   chosen[plan.trigger_atom] = &arrival;
 
   auto descend = [&](auto&& self, std::size_t depth) -> void {
     if (depth == plan.steps.size()) {
-      matches.push_back(PlanMatch{regs, chosen});
+      matches.push_back(Match{regs, chosen});
       return;
     }
     const JoinStep& step = plan.steps[depth];
@@ -917,22 +700,6 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
   };
   descend(descend, 0);
   if (matches.empty()) return;
-  finish_scratch_.clear();
-  finish_planned_matches(plan, matches.data(), matches.size(), t,
-                         finish_scratch_);
-  for (Event& event : finish_scratch_) {
-    push_event(std::move(event));
-  }
-  finish_scratch_.clear();
-}
-
-void Engine::finish_planned_matches(const RulePlan& plan, PlanMatch* matches,
-                                    std::size_t count, LogicalTime t,
-                                    std::vector<Event>& out) {
-  const Rule& rule = program_.rules()[plan.rule_index];
-  // Every match in the set descends from one trigger arrival, so the firing
-  // node is shared.
-  const NodeName& node = matches[0].chosen[plan.trigger_atom]->location();
 
   // Restore the reference evaluator's enumeration order. The reference DFS
   // (fire_rule) expands body atoms in body order and pops candidates from a
@@ -941,8 +708,9 @@ void Engine::finish_planned_matches(const RulePlan& plan, PlanMatch* matches,
   // Sorting the reordered join's matches by that same key, descending,
   // makes both evaluators fire identical event sequences. The sort is total
   // -- distinct matches differ in some chosen row, and rows of one table
-  // differ in their key projection -- so the callers' enumeration order
-  // (row DFS or batch BFS) never shows through.
+  // differ in their key projection -- so the planned enumeration order
+  // never shows through.
+  const std::size_t count = matches.size();
   if (count > 1) {
     std::vector<std::vector<Value>> sort_keys(count);
     for (std::size_t m = 0; m < count; ++m) {
@@ -964,15 +732,14 @@ void Engine::finish_planned_matches(const RulePlan& plan, PlanMatch* matches,
               [&sort_keys](std::size_t a, std::size_t b) {
                 return sort_keys[b] < sort_keys[a];  // descending
               });
-    std::vector<PlanMatch> sorted;
+    std::vector<Match> sorted;
     sorted.reserve(count);
     for (std::size_t m : order) sorted.push_back(std::move(matches[m]));
-    std::move(sorted.begin(), sorted.end(), matches);
+    matches = std::move(sorted);
   }
 
   // Assignments and constraints (slot-compiled). `satisfying_scratch_` is a
-  // member so the per-firing hot path does not allocate (finish runs once
-  // per firing on the row path, once per delta run on the batch path).
+  // member so the per-firing hot path does not allocate.
   std::vector<std::size_t>& satisfying = satisfying_scratch_;
   satisfying.clear();
   for (std::size_t m = 0; m < count; ++m) {
@@ -1024,7 +791,7 @@ void Engine::finish_planned_matches(const RulePlan& plan, PlanMatch* matches,
   // Fire: evaluate the head and schedule its arrival. The provenance body
   // is the chosen rows themselves, in original body order.
   for (std::size_t m : satisfying) {
-    const PlanMatch& match = matches[m];
+    const Match& match = matches[m];
     std::vector<Value> head_values;
     head_values.reserve(plan.head_args.size());
     try {
@@ -1064,464 +831,7 @@ void Engine::finish_planned_matches(const RulePlan& plan, PlanMatch* matches,
       event.body.push_back(*match.chosen[i]);
     }
     event.tuple = std::move(head);
-    out.push_back(std::move(event));
-  }
-}
-
-void Engine::process_batch(const Event* batch, std::size_t count) {
-  const LogicalTime t = batch[0].time;
-  assert(t >= now_);
-  now_ = t;
-  stats_.events_processed += count;
-  ++batch_stats_.batches;
-  batch_stats_.events += count;
-  batch_size_hist_->observe(static_cast<double>(count));
-
-  const bool notify = !observers_.empty();
-
-  // One-entry declaration cache (same rationale as admission: batches repeat
-  // a handful of tables, and the batch slice's storage stays put).
-  const std::string* cached_table = nullptr;
-  const TableDecl* cached_decl = nullptr;
-  const auto decl_of = [&](const std::string& name) -> const TableDecl& {
-    if (cached_table == nullptr || *cached_table != name) {
-      cached_decl = &program_.table(name);
-      cached_table = &name;
-    }
-    return *cached_decl;
-  };
-
-  // Phase A: apply every delta to its table and collect the tuples that need
-  // interning -- then intern them through one store batch. Refs layout per
-  // delta: base -> [tuple], derived -> [head, body...]. The relative intern
-  // order matches the row path's; either way refs are hash-consed in the
-  // process-global store, so a tuple's ref is whatever its first-ever intern
-  // said, identically across variants.
-  struct DeltaInfo {
-    bool is_base = false;
-    bool is_event = false;
-    bool needs_refs = false;
-    bool track_support = false;
-    std::uint32_t ref_begin = 0;
-  };
-  std::vector<DeltaInfo> info(count);
-  std::vector<const Tuple*> to_intern;
-  std::vector<TupleRef> refs;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Event& event = batch[i];
-    const Tuple& tuple = event.tuple;
-    DeltaInfo& d = info[i];
-    d.is_base = event.kind == Event::Kind::kBaseInsert;
-    d.is_event = decl_of(tuple.table()).is_event();
-    if (!d.is_event) {
-      [[maybe_unused]] const Table::InsertResult result =
-          table_for(tuple).insert(tuple, t);
-      assert(result.inserted && !result.displaced &&
-             "batch formation admitted a duplicate or displacing insert");
-    }
-    if (d.is_base) {
-      d.needs_refs = notify;
-      if (d.needs_refs) {
-        d.ref_begin = static_cast<std::uint32_t>(to_intern.size());
-        to_intern.push_back(&tuple);
-      }
-      continue;
-    }
-    // Derivations triggered by an event tuple are one-shot (see
-    // process_insert); only all-materialized bodies join support counting.
-    bool event_triggered = false;
-    for (const Tuple& b : event.body) {
-      if (decl_of(b.table()).is_event()) {
-        event_triggered = true;
-        break;
-      }
-    }
-    d.track_support = !d.is_event && !event_triggered;
-    d.needs_refs = notify || d.track_support;
-    if (d.needs_refs) {
-      d.ref_begin = static_cast<std::uint32_t>(to_intern.size());
-      to_intern.push_back(&tuple);
-      for (const Tuple& b : event.body) to_intern.push_back(&b);
-    }
-  }
-  global_store().intern_batch(to_intern.data(), to_intern.size(), refs);
-
-  // Observer notification + support bookkeeping, in delta order -- exactly
-  // the sequence the row engine would have produced.
-  for (std::size_t i = 0; i < count; ++i) {
-    const Event& event = batch[i];
-    const DeltaInfo& d = info[i];
-    if (d.is_base) {
-      ++stats_.base_inserts;
-      if (d.needs_refs) {
-        const TupleRef ref = refs[d.ref_begin];
-        for (RuntimeObserver* obs : observers_) {
-          obs->on_base_insert(ref, t, d.is_event);
-        }
-      }
-      continue;
-    }
-    ++stats_.derivations;
-    if (!d.needs_refs) continue;
-    const TupleRef head_ref = refs[d.ref_begin];
-    const NameRef rule_ref = intern_name(event.rule);
-    body_refs_scratch_.assign(
-        refs.begin() + d.ref_begin + 1,
-        refs.begin() + d.ref_begin + 1 +
-            static_cast<std::ptrdiff_t>(event.body.size()));
-    for (RuntimeObserver* obs : observers_) {
-      obs->on_derive(head_ref, rule_ref, body_refs_scratch_,
-                     event.trigger_index, t, d.is_event);
-    }
-    if (d.track_support) {
-      const std::size_t record_id = records_.size();
-      records_.push_back(DerivRecord{head_ref, rule_ref, true});
-      records_by_head_[head_ref].push_back(record_id);
-      for (const TupleRef b : body_refs_scratch_) {
-        records_by_body_[b].push_back(record_id);
-      }
-      ++support_[head_ref];
-    }
-  }
-
-  // Phase B: fire each (rule, trigger) once over all its deltas. Grouping by
-  // trigger table (first-appearance order) only changes evaluation order;
-  // the emissions are tagged and sorted below, so the scheduling order --
-  // and with it every internal sequence number -- matches the row loop's.
-  emission_scratch_.clear();
-  struct Group {
-    const std::string* table;
-    const std::vector<RulePlan>* plans;
-    std::vector<std::uint32_t> deltas;
-  };
-  std::vector<Group> groups;
-  Group* last_group = nullptr;  // consecutive deltas share a table
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string& table = batch[i].tuple.table();
-    if (last_group == nullptr || *last_group->table != table) {
-      last_group = nullptr;
-      for (Group& g : groups) {
-        if (*g.table == table) {
-          last_group = &g;
-          break;
-        }
-      }
-      if (last_group == nullptr) {
-        const auto plan_it = plans_.find(table);
-        if (plan_it == plans_.end()) {
-          // No plans for this table: remember that with a null plans list so
-          // a long untriggering run still hits the one-entry check above.
-          groups.push_back(Group{&table, nullptr, {}});
-        } else {
-          groups.push_back(Group{&plan_it->first, &plan_it->second, {}});
-        }
-        last_group = &groups.back();
-      }
-    }
-    if (last_group->plans != nullptr) {
-      last_group->deltas.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  for (const Group& group : groups) {
-    if (group.plans == nullptr) continue;
-    for (std::size_t p = 0; p < group.plans->size(); ++p) {
-      fire_rule_batch((*group.plans)[p], static_cast<std::uint32_t>(p), batch,
-                      group.deltas, t, emission_scratch_);
-    }
-  }
-  std::stable_sort(emission_scratch_.begin(), emission_scratch_.end(),
-                   [](const BufferedEmission& a, const BufferedEmission& b) {
-                     if (a.delta != b.delta) return a.delta < b.delta;
-                     return a.plan_ordinal < b.plan_ordinal;
-                   });
-  for (BufferedEmission& emission : emission_scratch_) {
-    push_event(std::move(emission.event));
-  }
-  emission_scratch_.clear();
-}
-
-void Engine::fire_rule_batch(const RulePlan& plan, std::uint32_t plan_ordinal,
-                             const Event* batch,
-                             const std::vector<std::uint32_t>& deltas,
-                             LogicalTime t,
-                             std::vector<BufferedEmission>& out) {
-  const Rule& rule = program_.rules()[plan.rule_index];
-  FiringScope firing_scope(config_.trace_rule_firings,
-                           rule_span_labels_[plan.rule_index], fire_hist_,
-                           fire_sketch_);
-
-  regs_matrix_.reset(plan.slot_count);
-  if (stage_rows_.size() < plan.steps.size() + 1) {
-    stage_rows_.resize(plan.steps.size() + 1);
-  }
-  for (auto& stage : stage_rows_) stage.clear();
-
-  // Stage 0: unify every delta's arrival against the trigger atom. Failing
-  // rows simply never enter the frontier (no stats, as in the row path).
-  std::vector<FrontierRow>& roots = stage_rows_[0];
-  for (const std::uint32_t delta : deltas) {
-    const Tuple& arrival = batch[delta].tuple;
-    const std::size_t row = regs_matrix_.add_row();
-    Value* regs = regs_matrix_.row(row);
-    bool ok = true;
-    for (const ColOp& op : plan.trigger_ops) {
-      const Value& v = arrival.at(op.col);
-      switch (op.kind) {
-        case ColOp::Kind::kConst:
-          ok = op.constant == v;
-          break;
-        case ColOp::Kind::kCheck:
-          ok = regs[op.slot] == v;
-          break;
-        case ColOp::Kind::kBind:
-          regs[op.slot] = v;
-          break;
-      }
-      if (!ok) break;
-    }
-    if (!ok) continue;
-    roots.push_back(
-        FrontierRow{static_cast<std::uint32_t>(row), delta, 0, &arrival});
-  }
-
-  // Advance the whole frontier one join step at a time: gather probe keys
-  // into dense scratch, hash them as a group, prefetch every slot cluster,
-  // then look up and verify. Counter discipline matches the row DFS: one
-  // index probe per frontier row, one scanned per candidate enumerated, one
-  // matched per candidate surviving verification.
-  bool prev_had_bind = true;  // stage-0 roots each own a fresh register row
-  for (std::size_t s = 0; s < plan.steps.size() && !stage_rows_[s].empty();
-       ++s) {
-    const JoinStep& step = plan.steps[s];
-    const std::vector<FrontierRow>& in = stage_rows_[s];
-    std::vector<FrontierRow>& survivors = stage_rows_[s + 1];
-    batch_stats_.rows_in += in.size();
-
-    bool has_bind = false;
-    for (const ColOp& op : step.residual) {
-      if (op.kind == ColOp::Kind::kBind) {
-        has_bind = true;
-        break;
-      }
-    }
-    // Whether every frontier row exclusively owns its register row: true
-    // after a binding step (each survivor copied or took over a row), false
-    // after a check-only step (survivors share the parent's row). Only an
-    // exclusively owned row can hand its registers to its last candidate.
-    const bool exclusive_rows = prev_had_bind;
-    prev_had_bind = has_bind;
-    // Verification reads the candidate (and, for cross-step checks, the
-    // parent registers) without writing anything, so a failing candidate
-    // costs no register-row copy.
-    const auto verify = [&step](const Tuple& candidate, const Value* regs) {
-      for (std::size_t i = 0; i < step.residual.size(); ++i) {
-        const ColOp& op = step.residual[i];
-        const Value& v = candidate.at(op.col);
-        switch (op.kind) {
-          case ColOp::Kind::kConst:
-            if (!(op.constant == v)) return false;
-            break;
-          case ColOp::Kind::kCheck: {
-            const int src = step.residual_src[i];
-            const Value& expect =
-                src >= 0 ? candidate.at(static_cast<std::size_t>(src))
-                         : regs[op.slot];
-            if (!(expect == v)) return false;
-            break;
-          }
-          case ColOp::Kind::kBind:
-            break;
-        }
-      }
-      return true;
-    };
-    const auto materialize = [&](std::uint32_t parent_pos,
-                                 const Tuple& candidate, bool take_row) {
-      ++stats_.tuples_matched;
-      const FrontierRow& parent = in[parent_pos];
-      std::uint32_t regs_row = parent.regs_row;
-      if (has_bind) {
-        // Only a binding step pays for a register-row copy (check-only steps
-        // share the parent's row -- registers are write-once per path), and
-        // only while the parent row can still be read: the last candidate of
-        // an exclusively owned row takes the row over and binds in place,
-        // which makes fanout-1 joins copy nothing at all.
-        if (!take_row) {
-          regs_row = static_cast<std::uint32_t>(
-              regs_matrix_.add_row_copy(parent.regs_row));
-        }
-        Value* regs = regs_matrix_.row(regs_row);
-        for (const ColOp& op : step.residual) {
-          if (op.kind == ColOp::Kind::kBind) {
-            regs[op.slot] = candidate.at(op.col);
-          }
-        }
-      }
-      survivors.push_back(
-          FrontierRow{regs_row, parent.delta, parent_pos, &candidate});
-    };
-
-    if (step.probe_cols.empty()) {
-      // Nothing bound at probe time: per-row full scan (rare; a cross join).
-      for (std::uint32_t r = 0; r < in.size(); ++r) {
-        const Table* table =
-            find_table(batch[in[r].delta].tuple.location(), step.table);
-        if (table == nullptr) continue;
-        table->for_each_live([&](const Tuple& candidate) {
-          ++stats_.tuples_scanned;
-          if (verify(candidate, regs_matrix_.row(in[r].regs_row))) {
-            // Scan enumeration gives no last-candidate signal: always copy.
-            materialize(r, candidate, /*take_row=*/false);
-          }
-        });
-      }
-      batch_stats_.rows_out += survivors.size();
-      continue;
-    }
-
-    // Per-node table/index resolution, cached (deltas cluster on few nodes).
-    struct NodeTables {
-      const NodeName* node;
-      const Table::JoinIndex* index;
-    };
-    std::vector<NodeTables> node_cache;
-    const auto index_for_node =
-        [&](const NodeName& node) -> const Table::JoinIndex* {
-      for (const NodeTables& entry : node_cache) {
-        if (*entry.node == node) return entry.index;
-      }
-      const Table* table = find_table(node, step.table);
-      node_cache.push_back(NodeTables{
-          &node,
-          table != nullptr ? &table->index_for(step.probe_cols) : nullptr});
-      return node_cache.back().index;
-    };
-
-    // Gather + hash.
-    if (probe_key_scratch_.size() < in.size()) {
-      probe_key_scratch_.resize(in.size());
-    }
-    probe_hash_scratch_.resize(in.size());
-    std::vector<const Table::JoinIndex*> row_index(in.size(), nullptr);
-    for (std::size_t r = 0; r < in.size(); ++r) {
-      std::vector<Value>& key = probe_key_scratch_[r];
-      key.clear();
-      const Value* regs = regs_matrix_.row(in[r].regs_row);
-      for (const ColOp& op : step.probe) {
-        key.push_back(op.kind == ColOp::Kind::kConst ? op.constant
-                                                     : regs[op.slot]);
-      }
-      probe_hash_scratch_[r] = Table::JoinIndex::hash_key(key);
-      row_index[r] = index_for_node(batch[in[r].delta].tuple.location());
-    }
-    // Prefetch every slot cluster before the first lookup touches one, then
-    // chase each (now cached) slot to its bucket and start that line too.
-    for (std::size_t r = 0; r < in.size(); ++r) {
-      if (row_index[r] != nullptr) {
-        row_index[r]->prefetch(probe_hash_scratch_[r]);
-      }
-    }
-    for (std::size_t r = 0; r < in.size(); ++r) {
-      if (row_index[r] != nullptr) {
-        row_index[r]->prefetch_bucket(probe_hash_scratch_[r]);
-      }
-    }
-    // Lookup pass: resolve every row's candidate list before verifying any
-    // of them. A hit dereferences a slot -> entry array -> tuple -> values
-    // chain of dependent loads; resolving the whole frontier first and
-    // prefetching each link lets those misses overlap across rows instead
-    // of serializing within each row.
-    entries_scratch_.resize(in.size());
-    for (std::uint32_t r = 0; r < in.size(); ++r) {
-      if (row_index[r] == nullptr) {
-        entries_scratch_[r] = nullptr;  // node has no such table
-        continue;
-      }
-      ++stats_.index_probes;
-      const auto* entries =
-          row_index[r]->lookup(probe_hash_scratch_[r], probe_key_scratch_[r]);
-      entries_scratch_[r] = entries;
-      if (entries == nullptr) {
-        ++batch_stats_.probe_misses;
-        continue;
-      }
-      ++batch_stats_.probe_hits;
-      __builtin_prefetch(entries->data());
-    }
-    for (const std::vector<Table::JoinIndex::Entry>* entries :
-         entries_scratch_) {
-      if (entries == nullptr) continue;
-      for (const Table::JoinIndex::Entry& entry : *entries) {
-        __builtin_prefetch(entry.tuple);
-      }
-    }
-    for (const std::vector<Table::JoinIndex::Entry>* entries :
-         entries_scratch_) {
-      if (entries == nullptr) continue;
-      for (const Table::JoinIndex::Entry& entry : *entries) {
-        __builtin_prefetch(entry.tuple->values().data());
-      }
-    }
-    // Verify pass.
-    for (std::uint32_t r = 0; r < in.size(); ++r) {
-      const std::vector<Table::JoinIndex::Entry>* entries =
-          entries_scratch_[r];
-      if (entries == nullptr) continue;
-      const std::size_t n_entries = entries->size();
-      std::size_t e = 0;
-      for (const Table::JoinIndex::Entry& entry : *entries) {
-        ++e;
-        ++stats_.tuples_scanned;
-        // Re-fetch the register row each iteration: materialize() may grow
-        // the matrix and move its storage.
-        if (verify(*entry.tuple, regs_matrix_.row(in[r].regs_row))) {
-          materialize(r, *entry.tuple,
-                      /*take_row=*/exclusive_rows && e == n_entries);
-        }
-      }
-    }
-    batch_stats_.rows_out += survivors.size();
-  }
-
-  const std::vector<FrontierRow>& finals = stage_rows_[plan.steps.size()];
-  if (finals.empty()) return;
-
-  // Complete matches, bucketed by delta. Expansion preserves relative root
-  // order stage over stage, so finals is non-decreasing in delta; one linear
-  // sweep recovers the per-delta runs. Within a run the order is arbitrary
-  // as far as correctness goes -- finish_planned_matches' order-restoring
-  // sort is total -- but stats and sort input stay deterministic.
-  std::size_t begin = 0;
-  while (begin < finals.size()) {
-    const std::uint32_t delta = finals[begin].delta;
-    std::size_t end = begin;
-    while (end < finals.size() && finals[end].delta == delta) ++end;
-    const std::size_t match_count = end - begin;
-    // Assign into the pool in place: steady-state firings reuse the regs
-    // and chosen capacity left behind by earlier ones.
-    if (match_pool_.size() < match_count) match_pool_.resize(match_count);
-    for (std::size_t f = begin; f < end; ++f) {
-      const FrontierRow& final_row = finals[f];
-      PlanMatch& match = match_pool_[f - begin];
-      const Value* regs = regs_matrix_.row(final_row.regs_row);
-      match.regs.assign(regs, regs + plan.slot_count);
-      match.chosen.assign(rule.body.size(), nullptr);
-      // Walk the parent chain to recover the chosen row per step.
-      const FrontierRow* cursor = &final_row;
-      for (std::size_t stage = plan.steps.size(); stage > 0; --stage) {
-        match.chosen[plan.steps[stage - 1].body_index] = cursor->chosen;
-        cursor = &stage_rows_[stage - 1][cursor->parent];
-      }
-      match.chosen[plan.trigger_atom] = cursor->chosen;
-    }
-    finish_scratch_.clear();
-    finish_planned_matches(plan, match_pool_.data(), match_count, t,
-                           finish_scratch_);
-    for (Event& event : finish_scratch_) {
-      out.push_back(BufferedEmission{delta, plan_ordinal, std::move(event)});
-    }
-    finish_scratch_.clear();
-    begin = end;
+    push_event(std::move(event));
   }
 }
 
@@ -1575,30 +885,11 @@ void Engine::publish_metrics() {
       .set(static_cast<std::int64_t>(queue_.size()));
   metrics_->gauge("dp.runtime.queue_depth_max")
       .set_max(static_cast<std::int64_t>(queue_depth_max_));
-  publish("dp.engine.batch.batches", batch_stats_.batches,
-          batch_published_.batches);
-  publish("dp.engine.batch.events", batch_stats_.events,
-          batch_published_.events);
-  publish("dp.engine.batch.probe_hits", batch_stats_.probe_hits,
-          batch_published_.probe_hits);
-  publish("dp.engine.batch.probe_misses", batch_stats_.probe_misses,
-          batch_published_.probe_misses);
-  publish("dp.engine.batch.rows_in", batch_stats_.rows_in,
-          batch_published_.rows_in);
-  publish("dp.engine.batch.rows_out", batch_stats_.rows_out,
-          batch_published_.rows_out);
-  if (batch_stats_.rows_in != 0) {
-    metrics_->gauge("dp.engine.batch.survival_ratio_ppm")
-        .set(static_cast<std::int64_t>(batch_stats_.rows_out * 1'000'000 /
-                                       batch_stats_.rows_in));
-  }
 }
 
 void Engine::reset_stats() {
   stats_ = Stats{};
   published_ = Stats{};
-  batch_stats_ = BatchStats{};
-  batch_published_ = BatchStats{};
   std::fill(rule_firings_.begin(), rule_firings_.end(), 0);
   std::fill(rule_firings_published_.begin(), rule_firings_published_.end(), 0);
   remote_by_node_.clear();

@@ -5,16 +5,18 @@
 // base-tuple insertions/deletions are scheduled at logical times, rule
 // firings are evaluated delta-style (each arriving tuple is joined against
 // the materialized state of its node), and derived heads travel to their
-// destination node with the link delay. Event ordering is fully
-// deterministic -- (time, sequence) -- which is what makes replay-based tree
-// updating (paper sections 4.6/4.8) sound.
+// destination node with the link delay. The event loop pops one event at a
+// time from a (time, sequence) heap and evaluates it completely before the
+// next, as RapidNet evaluates each delta tuple as it arrives. That order is
+// fully deterministic, which is what makes replay-based tree updating (paper
+// sections 4.6/4.8) sound.
 //
 // Joins run through compiled rule plans (runtime/plan.h) by default: body
 // atoms are greedily reordered, variables live in a flat register file, and
 // each join step probes a secondary hash index on the table instead of
-// scanning it. The pre-plan full-scan evaluator is kept as a reference
-// implementation (EngineConfig::use_join_plans = false); both paths produce
-// byte-identical event orders, outputs, and provenance.
+// scanning it. The pre-plan full-scan evaluator is kept as the test oracle
+// (EngineConfig::use_join_plans = false); both paths produce byte-identical
+// event orders, outputs, and provenance.
 //
 // Deletions use counting semantics: each derivation contributes one unit of
 // support to its head; when a (base or derived) tuple disappears, dependent
@@ -27,8 +29,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -38,7 +38,6 @@
 #include "obs/obs.h"
 #include "runtime/observer.h"
 #include "runtime/plan.h"
-#include "store/batch.h"
 #include "util/time.h"
 
 namespace dp {
@@ -57,15 +56,6 @@ struct EngineConfig {
   /// byte-identical in observable behavior (asserted by the cross-variant
   /// tests); the flag exists for differential testing and benchmarking.
   bool use_join_plans = true;
-  /// If true (default) and use_join_plans is set, the event loop drains
-  /// same-time runs of insert events into delta batches and evaluates each
-  /// (rule, trigger) over the whole batch at once: probe keys are gathered
-  /// into dense scratch, hashes computed as a group, index buckets
-  /// prefetched, and candidates verified over a selection vector. Outputs
-  /// stay byte-identical to the row-at-a-time plan evaluator (and the
-  /// full-scan reference); the flag exists so all three variants can be
-  /// diffed against each other. Ignored when use_join_plans is false.
-  bool use_batch_exec = true;
   /// Runaway guard: run() throws ProgramError after this many processed
   /// events. A forwarding loop in a recursive program (e.g. a routing cycle)
   /// would otherwise derive forever; real RapidNet deployments hit the same
@@ -79,9 +69,6 @@ struct EngineConfig {
   /// run completes or Engine::metrics()/stats() is read -- attaching a
   /// registry adds no per-event cost.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Emit a trace span + latency sample per rule firing while the default
-  /// tracer is enabled. Costs one branch per firing when tracing is off.
-  bool trace_rule_firings = true;
 };
 
 class Engine {
@@ -255,95 +242,6 @@ class Engine {
   void fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
                          LogicalTime t);
 
-  // --- batch execution (EngineConfig::use_batch_exec) ---
-
-  /// One complete join match: the register file plus the chosen row per
-  /// original body atom. Both plan evaluators (row DFS and batch pipeline)
-  /// produce these; finish_planned_matches turns them into events.
-  struct PlanMatch {
-    Regs regs;
-    std::vector<const Tuple*> chosen;
-  };
-
-  /// An event produced by a batched firing, tagged with its origin so the
-  /// batch can restore the row evaluator's scheduling order: sorting by
-  /// (delta position in the batch, plan ordinal for that trigger table),
-  /// stably, reproduces exactly the order in which the row loop would have
-  /// called push_event -- and therefore the same internal sequence numbers.
-  struct BufferedEmission {
-    std::uint32_t delta = 0;
-    std::uint32_t plan_ordinal = 0;
-    Event event;
-  };
-
-  /// One row of the batch join frontier: a register-file row, the delta it
-  /// descends from, the candidate chosen at this step, and a link to its
-  /// parent row one step earlier (the chosen chain is reconstructed by
-  /// walking parents).
-  struct FrontierRow {
-    std::uint32_t regs_row = 0;
-    std::uint32_t delta = 0;
-    std::uint32_t parent = 0;
-    const Tuple* chosen = nullptr;
-  };
-
-  /// dp.engine.batch.* counters, delta-published like Stats.
-  struct BatchStats {
-    std::uint64_t batches = 0;
-    std::uint64_t events = 0;        // events processed through batches
-    std::uint64_t probe_hits = 0;    // batch probes that found a bucket
-    std::uint64_t probe_misses = 0;  // batch probes that found nothing
-    std::uint64_t rows_in = 0;       // frontier rows entering a join step
-    std::uint64_t rows_out = 0;      // frontier rows surviving it
-  };
-
-  /// Pops and processes the next unit of work. Row/full-scan variants: one
-  /// event. Batch variant: a same-time run of insert events drained into
-  /// delta batches -- long runs are extracted from the heap wholesale (one
-  /// partition pass instead of one sift per event) and consumed, batch by
-  /// batch with ineligible events processed solo in between, within this
-  /// one call. `until` bounds admission when `bounded` (run_until).
-  void step_queue(bool bounded, LogicalTime until);
-
-  /// True if `event` can join the batch being formed: an insert at the
-  /// batch's time whose tuple neither duplicates/displaces a live row nor
-  /// collides with a key already pending in the batch, and whose table is
-  /// not probed by any rule an earlier batched delta triggers (those
-  /// firings must not see it -- the row engine would not have inserted it
-  /// yet). `decl`/`ord` are the event table's declaration and ordinal,
-  /// resolved by the caller (admission caches them across a run).
-  [[nodiscard]] bool batch_admissible(const Event& event, LogicalTime t,
-                                      const TableDecl& decl,
-                                      std::uint32_t ord) const;
-
-  /// Processes a run of admissible insert events as one batch: phase A
-  /// inserts every tuple and notifies observers in delta order (tuples
-  /// interned through one TupleStore::intern_batch), phase B fires each
-  /// (rule, trigger) once over all its deltas, then emissions are sorted
-  /// back into the row evaluator's scheduling order and enqueued. The batch
-  /// is a read-only slice (of the drained run or of batch_scratch_).
-  void process_batch(const Event* batch, std::size_t count);
-
-  /// Batch evaluator: joins every delta of `deltas` (indices into `batch`,
-  /// all on `plan`'s trigger table) through the plan as one frontier --
-  /// gather probe keys, hash, prefetch, lookup, verify -- and appends the
-  /// resulting events to `out` tagged for order restoration. Counter
-  /// semantics are identical to the row evaluator: one index probe per
-  /// frontier row, one scanned per candidate, one matched per survivor.
-  void fire_rule_batch(const RulePlan& plan, std::uint32_t plan_ordinal,
-                       const Event* batch,
-                       const std::vector<std::uint32_t>& deltas, LogicalTime t,
-                       std::vector<BufferedEmission>& out);
-
-  /// Shared tail of both plan evaluators: restores the reference candidate
-  /// order, evaluates assigns/constraints/argmax and the head, counts the
-  /// firing, and appends the scheduled events to `out` (not yet enqueued --
-  /// the row path pushes them immediately, the batch path buffers them for
-  /// order restoration).
-  void finish_planned_matches(const RulePlan& plan, PlanMatch* matches,
-                              std::size_t count, LogicalTime t,
-                              std::vector<Event>& out);
-
   /// Attempts to unify `tuple` with `atom` under `bindings`; returns false
   /// on mismatch, otherwise extends `bindings`.
   static bool unify(const BodyAtom& atom, const Tuple& tuple,
@@ -385,6 +283,8 @@ class Engine {
   // Scratch for the per-derivation body refs handed to observers (reused so
   // the notify path does not allocate per firing).
   std::vector<TupleRef> body_refs_scratch_;
+  // fire_rule_planned's surviving-match indexes (reused per firing).
+  std::vector<std::size_t> satisfying_scratch_;
 
   // Hot-path counters are plain (the engine is single-threaded); they are
   // delta-published into metrics_ when a run completes. published_ /
@@ -409,47 +309,6 @@ class Engine {
   // _p50/_p95/_p99/_p999 gauges). Observed under the same traced-firing gate,
   // so the untraced hot path stays branch-free.
   obs::QuantileSketch* fire_sketch_ = nullptr;
-
-  // --- batch execution state (only populated when batching is on) ---
-  // Per-table bitmask of the tables probed by any plan the table triggers
-  // (row-major, mask_words_ words per table). Batch formation refuses to
-  // admit an event whose table is probed by an earlier batched delta.
-  std::unordered_map<std::string, std::uint32_t> table_ord_;
-  std::size_t mask_words_ = 0;
-  std::vector<std::uint64_t> probe_masks_;
-  // Formation/processing scratch, reused across batches.
-  std::vector<std::uint64_t> forbidden_scratch_;
-  std::set<std::tuple<NodeName, std::string, std::vector<Value>>>
-      pending_keys_;
-  std::vector<Event> batch_scratch_;
-  // A same-time run bulk-drained out of the heap (see step_queue): extracted
-  // with one partition pass instead of one heap sift per event, consumed as
-  // batch slices and solo events within a single step.
-  std::vector<Event> run_scratch_;
-  // (seq, run position) keys for ordering a drained run: sorting these and
-  // moving each Event once beats sorting the Event objects themselves.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> run_keys_;
-  std::vector<BufferedEmission> emission_scratch_;
-  std::vector<Event> finish_scratch_;  // row-path finish_planned_matches out
-  // finish_planned_matches' surviving-match indexes (reused per firing).
-  std::vector<std::size_t> satisfying_scratch_;
-  // Batch-path match staging: grown high-water and reassigned in place, so
-  // steady-state firings reuse the regs/chosen capacity of earlier ones.
-  std::vector<PlanMatch> match_pool_;
-  // Join frontier scratch: one register row per live partial match, one
-  // FrontierRow vector per pipeline stage (kept -- chosen chains are
-  // reconstructed by walking stage parents).
-  store::ValueMatrix regs_matrix_;
-  std::vector<std::vector<FrontierRow>> stage_rows_;
-  std::vector<std::vector<Value>> probe_key_scratch_;
-  std::vector<std::uint64_t> probe_hash_scratch_;
-  // Per-frontier-row candidate lists, resolved in one pass so the entry and
-  // tuple cache lines can be prefetched before the verify pass reads them.
-  std::vector<const std::vector<Table::JoinIndex::Entry>*> entries_scratch_;
-
-  BatchStats batch_stats_;
-  BatchStats batch_published_;
-  obs::Histogram* batch_size_hist_ = nullptr;  // dp.engine.batch.size, cached
 };
 
 }  // namespace dp

@@ -129,21 +129,7 @@ RulePlan compile_plan(const Program& program, const Rule& rule,
         step.probe_cols.push_back(op.col);
         step.probe.push_back(op);
       } else {
-        int src = -1;
-        if (op.kind == ColOp::Kind::kCheck) {
-          // The kBind for this slot precedes it within the same atom (see
-          // residual_src's invariant in plan.h).
-          for (const ColOp& earlier : step.ops) {
-            if (earlier.col >= op.col) break;
-            if (earlier.kind == ColOp::Kind::kBind &&
-                earlier.slot == op.slot) {
-              src = static_cast<int>(earlier.col);
-              break;
-            }
-          }
-        }
         step.residual.push_back(op);
-        step.residual_src.push_back(src);
       }
     }
     plan.steps.push_back(std::move(step));

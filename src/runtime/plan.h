@@ -62,13 +62,6 @@ struct JoinStep {
   /// Ops for the remaining columns (kBind, plus kCheck for a variable
   /// repeated within this same atom) -- all a bucket candidate still needs.
   std::vector<ColOp> residual;
-  /// Aligned with `residual`: for a kCheck op, the column of this same atom
-  /// whose kBind wrote the checked slot (every residual kCheck is such an
-  /// intra-atom repeat -- a variable bound before the atom puts all its
-  /// columns in the probe set); -1 for kBind/kConst ops. Lets the batch
-  /// verifier test a candidate column-against-column without materializing
-  /// its register writes first.
-  std::vector<int> residual_src;
 };
 
 /// The full compiled plan for one (rule, trigger-atom) pair.

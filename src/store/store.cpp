@@ -188,71 +188,6 @@ TupleRef TupleStore::intern(const Tuple& t) {
   return insert_locked(hash, table, refs.data(), refs.size(), t);
 }
 
-void TupleStore::intern_batch(const Tuple* const* tuples, std::size_t n,
-                              std::vector<TupleRef>& out) {
-  out.assign(n, kNoTupleRef);
-  if (n == 0) return;
-
-  // Per-batch scratch: one flat ValueRef arena plus per-tuple offsets, so the
-  // prepare pass allocates nothing once the thread is warmed up.
-  thread_local std::vector<ValueRef> t_arena;
-  thread_local std::vector<std::uint32_t> t_begins;
-  thread_local std::vector<std::uint64_t> t_hashes;
-  thread_local std::vector<NameRef> t_tables;
-  t_arena.clear();
-  t_begins.clear();
-  t_hashes.clear();
-  t_tables.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Tuple& t = *tuples[i];
-    t_begins.push_back(static_cast<std::uint32_t>(t_arena.size()));
-    for (const Value& v : t.values()) t_arena.push_back(pool_.intern(v));
-    t_tables.push_back(names_.intern(t.table()));
-    t_hashes.push_back(hash_of(t));
-  }
-  t_begins.push_back(static_cast<std::uint32_t>(t_arena.size()));
-
-  // Pass 1 (shared lock): resolve every tuple already in the store. In steady
-  // state most of a batch hits here and the writer lock is never taken.
-  std::uint64_t hits = 0;
-  bool any_miss = false;
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const TupleRef r =
-          find_in_chain(t_hashes[i], t_tables[i], t_arena.data() + t_begins[i],
-                        t_begins[i + 1] - t_begins[i]);
-      if (r != kNoTupleRef) {
-        out[i] = r;
-        ++hits;
-      } else {
-        any_miss = true;
-      }
-    }
-  }
-  if (any_miss) {
-    // Pass 2 (unique lock): insert the misses. The re-probe both closes the
-    // race with concurrent interners and collapses duplicates within the
-    // batch -- a tuple inserted at position i is found when it recurs at j>i.
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (out[i] != kNoTupleRef) continue;
-      const ValueRef* refs = t_arena.data() + t_begins[i];
-      const std::size_t arity = t_begins[i + 1] - t_begins[i];
-      const TupleRef existing =
-          find_in_chain(t_hashes[i], t_tables[i], refs, arity);
-      if (existing != kNoTupleRef) {
-        out[i] = existing;
-        ++hits;
-        continue;
-      }
-      out[i] =
-          insert_locked(t_hashes[i], t_tables[i], refs, arity, *tuples[i]);
-    }
-  }
-  if (hits != 0) hits_.fetch_add(hits, std::memory_order_relaxed);
-}
-
 TupleRef TupleStore::find(const Tuple& t) const {
   std::vector<ValueRef>& refs = t_scratch_refs;
   refs.clear();

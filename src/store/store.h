@@ -157,15 +157,6 @@ class TupleStore {
   /// returns the same ref, so ref comparison is tuple equality.
   TupleRef intern(const Tuple& t);
 
-  /// Interns `n` tuples in one pass, writing their refs to `out` (resized to
-  /// `n`, out[i] is the ref of *tuples[i]). Amortizes the locking: one
-  /// shared-lock sweep resolves the tuples already interned, then a single
-  /// unique-lock pass inserts the misses (re-probing each, which also
-  /// deduplicates equal tuples *within* the batch). Equivalent to calling
-  /// intern() on each tuple in order -- same refs, same hit/miss accounting.
-  void intern_batch(const Tuple* const* tuples, std::size_t n,
-                    std::vector<TupleRef>& out);
-
   /// Ref of `t` if interned, else kNoTupleRef. Never inserts (lookups of
   /// never-recorded tuples must not grow the store).
   [[nodiscard]] TupleRef find(const Tuple& t) const;

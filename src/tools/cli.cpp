@@ -33,7 +33,7 @@ struct Options {
   std::string metrics_path;  // --metrics-out: metrics registry JSON
   std::string profile_path;  // --profile-out: collapsed stacks (flamegraph)
   bool stats = false;        // --stats: human-readable metrics table
-  std::string exec;          // --exec: fullscan | row | batch (default batch)
+  std::string exec;          // --exec: fullscan | row (default row)
 };
 
 constexpr const char* kUsage =
@@ -43,12 +43,11 @@ constexpr const char* kUsage =
     "                    [--link A B DELAY]... [--list-scenarios]\n"
     "                    [--dump-log NAME]\n"
     "                    [--trace-out FILE] [--metrics-out FILE] [--stats]\n"
-    "                    [--profile-out FILE] [--exec fullscan|row|batch]\n"
+    "                    [--profile-out FILE] [--exec fullscan|row]\n"
     "\n"
     "execution variants (outputs are byte-identical; CI diffs them):\n"
-    "  --exec fullscan     reference evaluator, no join plans\n"
-    "  --exec row          compiled join plans, tuple-at-a-time\n"
-    "  --exec batch        compiled join plans, batched deltas (default)\n"
+    "  --exec fullscan     reference evaluator, no join plans (test oracle)\n"
+    "  --exec row          compiled join plans with indexed joins (default)\n"
     "\n"
     "observability:\n"
     "  --trace-out FILE    write a Chrome trace-event JSON of the diagnosis\n"
@@ -152,10 +151,10 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       } else if (arg == "--stats") {
         options.stats = true;
       } else if (arg == "--exec") {
-        auto v = next("fullscan|row|batch");
+        auto v = next("fullscan|row");
         if (!v) return 2;
-        if (*v != "fullscan" && *v != "row" && *v != "batch") {
-          err << "--exec must be fullscan, row, or batch\n";
+        if (*v != "fullscan" && *v != "row") {
+          err << "--exec must be fullscan or row\n";
           return 2;
         }
         options.exec = *v;
@@ -243,16 +242,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   }
   ReplayOptions replay_options;
   replay_options.engine_config.metrics = &obs::default_registry();
-  if (options.exec == "fullscan") {
-    replay_options.engine_config.use_join_plans = false;
-    replay_options.engine_config.use_batch_exec = false;
-  } else if (options.exec == "row") {
-    replay_options.engine_config.use_join_plans = true;
-    replay_options.engine_config.use_batch_exec = false;
-  } else if (options.exec == "batch") {
-    replay_options.engine_config.use_join_plans = true;
-    replay_options.engine_config.use_batch_exec = true;
-  }
+  replay_options.engine_config.use_join_plans = options.exec != "fullscan";
 
   service::DiagnoseSpec spec;
   spec.good_event = problem->good_event;

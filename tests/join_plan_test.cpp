@@ -6,11 +6,11 @@
 // one hard requirement is that none of this is observable: for every
 // scenario in the repo, event order, live state, stats, and the full
 // provenance graph must be *byte-identical* to the reference full-scan
-// evaluator. This file drives every SDN, DNS, and MapReduce scenario through
-// both paths and compares everything, then unit-tests index maintenance
-// (lazy build, upsert displacement, delete), plan shapes (greedy ordering,
-// probe column sets), slot-compiled expression parity, and the support-map
-// regression from the retraction path.
+// evaluator. This file drives every SDN, DNS, and MapReduce scenario and the
+// same-time-run edge cases through both paths and compares everything, then
+// unit-tests index maintenance (lazy build, upsert displacement, delete),
+// plan shapes (greedy ordering, probe column sets), slot-compiled expression
+// parity, and the support-map regression from the retraction path.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -22,7 +22,6 @@
 #include "mapred/scenario.h"
 #include "mapred/wordcount.h"
 #include "ndlog/parser.h"
-#include "obs/metrics.h"
 #include "provenance/recorder.h"
 #include "replay/event_log.h"
 #include "runtime/engine.h"
@@ -66,15 +65,13 @@ struct RunResult {
   std::size_t support_entries = 0;
 };
 
-/// The three execution variants under test. kFullScan is the reference
-/// evaluator; kRow adds compiled join plans; kBatch additionally drains
-/// same-time delta runs into batched plan firings.
-enum class Variant { kFullScan, kRow, kBatch };
+/// The two execution variants under test. kFullScan is the reference
+/// evaluator (the oracle); kRow is the default compiled-plan evaluator.
+enum class Variant { kFullScan, kRow };
 
 RunResult run_scenario(const ScenarioRun& scenario, Variant variant) {
   EngineConfig config;
-  config.use_join_plans = variant != Variant::kFullScan;
-  config.use_batch_exec = variant == Variant::kBatch;
+  config.use_join_plans = variant == Variant::kRow;
   Engine engine(Program(scenario.program), config);
   for (const Topology::Link& link : scenario.topology.links) {
     engine.add_link(link.a, link.b, link.delay);
@@ -116,14 +113,9 @@ void expect_identical_graphs(const ProvenanceGraph& a,
   }
 }
 
-class JoinPlanCrossVariant : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(JoinPlanCrossVariant, IndexedPlansAreByteIdenticalToFullScans) {
-  const ScenarioRun scenario =
-      std::move(all_scenario_runs()[GetParam()]);
-  const RunResult planned = run_scenario(scenario, Variant::kRow);
-  const RunResult scanned = run_scenario(scenario, Variant::kFullScan);
-
+/// The plan evaluator against the full-scan oracle: identical semantic
+/// counters, join matches, support map, live state and provenance graph.
+void expect_matches_oracle(const RunResult& planned, const RunResult& scanned) {
   EXPECT_EQ(planned.stats.base_inserts, scanned.stats.base_inserts);
   EXPECT_EQ(planned.stats.base_deletes, scanned.stats.base_deletes);
   EXPECT_EQ(planned.stats.derivations, scanned.stats.derivations);
@@ -143,31 +135,13 @@ TEST_P(JoinPlanCrossVariant, IndexedPlansAreByteIdenticalToFullScans) {
   expect_identical_graphs(planned.graph, scanned.graph);
 }
 
-TEST_P(JoinPlanCrossVariant, BatchedExecutionIsByteIdenticalToRowAtATime) {
+class JoinPlanCrossVariant : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(JoinPlanCrossVariant, IndexedPlansAreByteIdenticalToFullScans) {
   const ScenarioRun scenario =
       std::move(all_scenario_runs()[GetParam()]);
-  const RunResult batch = run_scenario(scenario, Variant::kBatch);
-  const RunResult row = run_scenario(scenario, Variant::kRow);
-
-  // Batching is a pure scheduling change, so unlike the fullscan-vs-row
-  // comparison EVERY counter must match -- including the three join
-  // counters. One probe per frontier row, one scan per candidate, one match
-  // per survivor: the batch BFS visits exactly the pairs the row DFS does.
-  EXPECT_EQ(batch.stats.base_inserts, row.stats.base_inserts);
-  EXPECT_EQ(batch.stats.base_deletes, row.stats.base_deletes);
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.underivations, row.stats.underivations);
-  EXPECT_EQ(batch.stats.remote_messages, row.stats.remote_messages);
-  EXPECT_EQ(batch.stats.events_processed, row.stats.events_processed);
-  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
-  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
-  EXPECT_EQ(batch.stats.tuples_matched, row.stats.tuples_matched);
-  EXPECT_EQ(batch.support_entries, row.support_entries);
-
-  for (const auto& [table, tuples] : row.live) {
-    EXPECT_EQ(batch.live.at(table), tuples) << table;
-  }
-  expect_identical_graphs(batch.graph, row.graph);
+  expect_matches_oracle(run_scenario(scenario, Variant::kRow),
+                        run_scenario(scenario, Variant::kFullScan));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -395,52 +369,36 @@ TEST(SlotExprs, CompiledEvaluationMatchesTheBindingsPath) {
   }
 }
 
-// ------------------------------------------------- batch-boundary cases --
+// --------------------------------------------------------- same-time runs --
+//
+// Within a run of events at one logical time, evaluation order is visible:
+// each event must be inserted, fired and its emissions queued before the
+// next event of the run is popped. These cases pin that against the oracle.
 
-/// Runs `program_text` over `records` under `variant` with a private metrics
-/// registry, returning stats, live state, and the batch counters.
-struct BatchProbeResult {
-  Engine::Stats stats;
-  std::map<std::string, std::vector<Tuple>> live;
-  std::uint64_t batches = 0;
-  std::uint64_t batch_events = 0;
-};
+/// A single-node run of `program_text` over `records`.
+ScenarioRun same_time_run(const std::string& program_text,
+                          const std::vector<LogRecord>& records) {
+  EventLog log;
+  for (const LogRecord& r : records) log.append(r);
+  return {"same_time", parse_program(program_text), Topology{},
+          std::move(log)};
+}
 
-BatchProbeResult run_batch_probe(const std::string& program_text,
-                                 const std::vector<LogRecord>& records,
-                                 Variant variant) {
-  obs::MetricsRegistry registry;
-  EngineConfig config;
-  config.use_join_plans = variant != Variant::kFullScan;
-  config.use_batch_exec = variant == Variant::kBatch;
-  config.metrics = &registry;
-  Engine engine(parse_program(program_text), config);
-  for (const LogRecord& r : records) {
-    if (r.op == LogRecord::Op::kInsert) {
-      engine.schedule_insert(r.tuple(), r.time);
-    } else {
-      engine.schedule_delete(r.tuple(), r.time);
-    }
-  }
-  engine.run();
-  BatchProbeResult result;
-  result.stats = engine.stats();
-  for (const auto& [table, decl] : engine.program().tables()) {
-    result.live[table] = engine.live_tuples(table);
-  }
-  result.batches = registry.counter("dp.engine.batch.batches").value();
-  result.batch_events = registry.counter("dp.engine.batch.events").value();
-  return result;
+/// Runs both evaluators over `run`, expects the plan evaluator to match the
+/// oracle, and returns its result for case-specific checks.
+RunResult planned_checked_against_oracle(const ScenarioRun& run) {
+  RunResult planned = run_scenario(run, Variant::kRow);
+  expect_matches_oracle(planned, run_scenario(run, Variant::kFullScan));
+  return planned;
 }
 
 LogRecord insert_at(const Tuple& tuple, LogicalTime t) {
   return LogRecord(LogRecord::Op::kInsert, t, tuple);
 }
 
-TEST(BatchExec, SelfJoinDeltasDegradeToSizeOneBatches) {
-  // p's own plan probes p, so the forbidden-table rule must cut the batch
-  // after every delta: each insert has to see the previous one's derivations
-  // settled before it fires.
+TEST(SameTimeRun, SelfJoinRunMatchesFullScan) {
+  // p's own plan probes p, so each insert of the run must fire against the
+  // inserts before it and never against those after it.
   const std::string program = R"(
     table p(2) keys(0, 1) base mutable.
     table out(3) derived event.
@@ -450,26 +408,16 @@ TEST(BatchExec, SelfJoinDeltasDegradeToSizeOneBatches) {
   for (int k = 0; k < 6; ++k) {
     records.push_back(insert_at(Tuple("p", {Value("n1"), Value(k)}), 1));
   }
-  const BatchProbeResult batch =
-      run_batch_probe(program, records, Variant::kBatch);
-  const BatchProbeResult row = run_batch_probe(program, records, Variant::kRow);
-
-  // Six size-1 batches: insert k must see inserts 1..k-1's derivations
-  // before it fires. The 42 derived `out` events (2i per insert i, counting
-  // the doubled self-pair) then drain as one batch -- out has no plans, so
-  // nothing forbids coalescing them.
-  EXPECT_EQ(batch.batches, 7u);
-  EXPECT_EQ(batch.batch_events, row.stats.events_processed);
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
-  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
-  EXPECT_EQ(batch.stats.tuples_matched, row.stats.tuples_matched);
-  EXPECT_EQ(batch.live, row.live);
+  const RunResult planned =
+      planned_checked_against_oracle(same_time_run(program, records));
+  // Insert i (1-based) joins itself and its i-1 predecessors, once per
+  // trigger atom: 2 * (1 + 2 + ... + 6) = 42 derived `out` events.
+  EXPECT_EQ(planned.stats.derivations, 42u);
 }
 
-TEST(BatchExec, IndependentSameTimeDeltasShareOneBatch) {
-  // Probe events only read b, never their own table, so a same-time run of
-  // probes coalesces into a single batch firing.
+TEST(SameTimeRun, IndependentProbesWithHalfMissesMatchFullScan) {
+  // A run of probe events that only read b: half hit, half miss (keys past
+  // the populated range).
   const std::string program = R"(
     table a(2) base immutable event.
     table b(3) keys(0, 1) base mutable.
@@ -482,26 +430,16 @@ TEST(BatchExec, IndependentSameTimeDeltasShareOneBatch) {
         insert_at(Tuple("b", {Value("n1"), Value(k), Value(k * 10)}), 0));
   }
   for (int k = 0; k < 8; ++k) {
-    // Half the probes hit, half miss (keys past the populated range).
     records.push_back(insert_at(Tuple("a", {Value("n1"), Value(k * 2)}), 1));
   }
-  const BatchProbeResult batch =
-      run_batch_probe(program, records, Variant::kBatch);
-  const BatchProbeResult row = run_batch_probe(program, records, Variant::kRow);
-
-  EXPECT_LT(batch.batches, batch.batch_events);  // at least one real batch
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.index_probes, row.stats.index_probes);
-  EXPECT_EQ(batch.stats.tuples_scanned, row.stats.tuples_scanned);
-  EXPECT_EQ(batch.stats.tuples_matched, row.stats.tuples_matched);
-  EXPECT_EQ(batch.live, row.live);
+  const RunResult planned =
+      planned_checked_against_oracle(same_time_run(program, records));
+  EXPECT_EQ(planned.stats.derivations, 4u);
 }
 
-TEST(BatchExec, DisplacingInsertFlushesTheBatch) {
-  // Two same-time inserts with the same key: the second displaces the first,
-  // which batch formation must refuse to admit (the displaced row's
-  // retraction has to run between them). Live state and stats still match
-  // the row path exactly.
+TEST(SameTimeRun, DisplacingUpsertMatchesFullScan) {
+  // Two same-time inserts with the same key: the second displaces the
+  // first, whose retraction runs between them.
   const std::string program = R"(
     table kv(3) keys(0, 1) base mutable.
     table echo(3) derived event.
@@ -512,16 +450,10 @@ TEST(BatchExec, DisplacingInsertFlushesTheBatch) {
       insert_at(Tuple("kv", {Value("n1"), Value(2), Value(20)}), 1),
       insert_at(Tuple("kv", {Value("n1"), Value(1), Value(11)}), 1),
   };
-  const BatchProbeResult batch =
-      run_batch_probe(program, records, Variant::kBatch);
-  const BatchProbeResult row = run_batch_probe(program, records, Variant::kRow);
-
-  EXPECT_EQ(batch.stats.base_inserts, row.stats.base_inserts);
-  EXPECT_EQ(batch.stats.base_deletes, row.stats.base_deletes);
-  EXPECT_EQ(batch.stats.derivations, row.stats.derivations);
-  EXPECT_EQ(batch.stats.underivations, row.stats.underivations);
-  EXPECT_EQ(batch.live, row.live);
-  ASSERT_EQ(batch.live.at("kv").size(), 2u);
+  const RunResult planned =
+      planned_checked_against_oracle(same_time_run(program, records));
+  EXPECT_EQ(planned.stats.base_deletes, 1u);
+  ASSERT_EQ(planned.live.at("kv").size(), 2u);
 }
 
 // ------------------------------------------- support-map retraction fix --

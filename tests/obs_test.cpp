@@ -563,50 +563,6 @@ TEST(Obs, PlannedAndFullScanEvaluatorsAgreeThroughRegistryFacade) {
             ra.counter("dp.runtime.events_processed").value());
 }
 
-TEST(Obs, BatchedAndRowEvaluatorsAgreeThroughRegistryFacade) {
-  sdn::Scenario s = sdn::sdn1();
-  ReplayOptions batched;
-  batched.engine_config.use_join_plans = true;
-  batched.engine_config.use_batch_exec = true;
-  ReplayOptions row;
-  row.engine_config.use_join_plans = true;
-  row.engine_config.use_batch_exec = false;
-  ReplayResult a = replay(s.program, s.topology, s.log, {}, batched);
-  ReplayResult b = replay(s.program, s.topology, s.log, {}, row);
-
-  obs::MetricsRegistry& ra = a.engine->metrics();
-  obs::MetricsRegistry& rb = b.engine->metrics();
-  // Unlike the fullscan comparison above, batching keeps even the
-  // join-mechanics counters equal: one probe per delta-side row, one scan
-  // per candidate, one match per survivor, in both execution shapes.
-  std::vector<std::string> names = {
-      "dp.runtime.base_inserts",     "dp.runtime.base_deletes",
-      "dp.runtime.derivations",      "dp.runtime.underivations",
-      "dp.runtime.remote_messages",  "dp.runtime.events_processed",
-      "dp.runtime.index_probes",     "dp.runtime.tuples_scanned",
-      "dp.runtime.tuples_matched",
-  };
-  for (const Rule& rule : s.program.rules()) {
-    names.push_back("dp.runtime.rule_firings." +
-                    obs::sanitize_metric_segment(rule.name));
-  }
-  for (const std::string& name : names) {
-    EXPECT_EQ(ra.counter(name).value(), rb.counter(name).value()) << name;
-  }
-
-  // The batch-shape metrics exist only on the batched engine and are
-  // internally consistent: batched events never exceed the total processed
-  // (inadmissible events -- deletes, displacing inserts -- run solo outside
-  // any batch), and the size histogram saw every batch.
-  const std::uint64_t batches = ra.counter("dp.engine.batch.batches").value();
-  const std::uint64_t events = ra.counter("dp.engine.batch.events").value();
-  EXPECT_GT(batches, 0u);
-  EXPECT_GE(events, batches);
-  EXPECT_LE(events, ra.counter("dp.runtime.events_processed").value());
-  EXPECT_EQ(ra.histogram("dp.engine.batch.size").count(), batches);
-  EXPECT_EQ(rb.counter("dp.engine.batch.batches").value(), 0u);
-}
-
 TEST(Obs, ProvenanceVertexCountsPublishPerKind) {
   // replay() publishes graph growth into the default registry (the registry
   // is shared process-wide, so we measure deltas around the call).
@@ -998,14 +954,10 @@ TEST(Profiler, DiagnosisIsByteIdenticalWithProfilerOnAcrossExecVariants) {
   struct Variant {
     const char* name;
     bool plans;
-    bool batch;
   };
-  for (const Variant v : {Variant{"fullscan", false, false},
-                          Variant{"row", true, false},
-                          Variant{"batch", true, true}}) {
+  for (const Variant v : {Variant{"fullscan", false}, Variant{"row", true}}) {
     ReplayOptions options;
     options.engine_config.use_join_plans = v.plans;
-    options.engine_config.use_batch_exec = v.batch;
 
     profiler.stop_sampler();
     profiler.set_enabled(false);

@@ -3,7 +3,6 @@
 // properties per value type.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "ndlog/table.h"
 #include "ndlog/tuple.h"
 #include "ndlog/value.h"
-#include "store/batch.h"
 #include "store/store.h"
 #include "util/rng.h"
 
@@ -139,116 +137,7 @@ TEST(TupleStore, TupleHashCollisionsStillDistinguishTuples) {
   }
 }
 
-// ------------------------------------------------------- batched interning --
-
-TEST(TupleStore, InternBatchMatchesPerTupleInternAndDedupsWithinTheBatch) {
-  TupleStore store;
-  store.intern(flow(0, 0));  // pre-existing hit for the batch below
-
-  std::vector<Tuple> tuples;
-  std::vector<const Tuple*> ptrs;
-  for (int i = 0; i < 10; ++i) tuples.push_back(flow(i / 4, i % 4));
-  tuples.push_back(flow(0, 0));  // duplicate of the pre-interned tuple
-  tuples.push_back(flow(1, 1));  // intra-batch duplicate of index 5
-  for (const Tuple& t : tuples) ptrs.push_back(&t);
-
-  std::vector<TupleRef> refs;
-  store.intern_batch(ptrs.data(), ptrs.size(), refs);
-  ASSERT_EQ(refs.size(), tuples.size());
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    EXPECT_EQ(refs[i], store.intern(tuples[i])) << "tuple " << i;
-  }
-  EXPECT_EQ(refs[10], refs[0]);
-  EXPECT_EQ(refs[11], refs[5]);
-  EXPECT_EQ(store.size(), 10u);
-}
-
-TEST(TupleStore, InternBatchCountsHitsAndMissesLikeTheScalarPath) {
-  TupleStore store;
-  std::vector<Tuple> tuples;
-  std::vector<const Tuple*> ptrs;
-  for (int i = 0; i < 6; ++i) tuples.push_back(flow(9, i));
-  tuples.push_back(flow(9, 0));  // intra-batch duplicate -> a hit
-  for (const Tuple& t : tuples) ptrs.push_back(&t);
-  std::vector<TupleRef> refs;
-  store.intern_batch(ptrs.data(), ptrs.size(), refs);
-  const TupleStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.misses, 6u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  // A pure-hit batch touches only the shared lock and counts all hits.
-  store.intern_batch(ptrs.data(), ptrs.size(), refs);
-  EXPECT_EQ(store.stats().hits, 1u + tuples.size());
-  EXPECT_EQ(store.stats().misses, 6u);
-}
-
-TEST(TupleStore, InternBatchHandlesEmptyAndCollidingInputs) {
-  TupleStore store(&colliding_value_hash, &colliding_tuple_hash);
-  std::vector<TupleRef> refs = {12345};
-  store.intern_batch(nullptr, 0, refs);
-  EXPECT_TRUE(refs.empty());
-
-  std::vector<Tuple> tuples;
-  std::vector<const Tuple*> ptrs;
-  for (int i = 0; i < 16; ++i) tuples.push_back(flow(i, i));
-  for (const Tuple& t : tuples) ptrs.push_back(&t);
-  store.intern_batch(ptrs.data(), ptrs.size(), refs);
-  std::set<TupleRef> distinct(refs.begin(), refs.end());
-  EXPECT_EQ(distinct.size(), tuples.size());
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    EXPECT_EQ(store.resolve(refs[i]), tuples[i]);
-  }
-}
-
 // -------------------------------------------------- cross-thread interning --
-
-TEST(TupleStore, ConcurrentInternBatchesAgreeOnRefs) {
-  // Same invariant as the scalar test below, but through intern_batch with
-  // heavily overlapping batches; run under TSan in CI. The unique-lock pass
-  // must re-probe so two racing batches never insert the same tuple twice.
-  TupleStore store;
-  constexpr int kThreads = 8;
-  constexpr int kUniverse = 48;
-  std::vector<std::vector<TupleRef>> seen(kThreads,
-                                          std::vector<TupleRef>(kUniverse));
-  std::atomic<int> start{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int worker = 0; worker < kThreads; ++worker) {
-    threads.emplace_back([&, worker] {
-      start.fetch_add(1);
-      while (start.load() < kThreads) {}  // rough start barrier
-      Rng rng{static_cast<std::uint64_t>(worker) + 77};
-      for (int iter = 0; iter < 300; ++iter) {
-        std::vector<Tuple> tuples;
-        std::vector<int> ids;
-        const std::size_t n = 1 + rng.next_below(12);
-        for (std::size_t i = 0; i < n; ++i) {
-          ids.push_back(static_cast<int>(rng.next_below(kUniverse)));
-          tuples.push_back(flow(ids.back() / 8, ids.back() % 8));
-        }
-        std::vector<const Tuple*> ptrs;
-        for (const Tuple& t : tuples) ptrs.push_back(&t);
-        std::vector<TupleRef> refs;
-        store.intern_batch(ptrs.data(), ptrs.size(), refs);
-        for (std::size_t i = 0; i < n; ++i) {
-          seen[worker][static_cast<std::size_t>(ids[i])] = refs[i];
-          EXPECT_EQ(store.resolve(refs[i]), tuples[i]);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(store.size(), static_cast<std::size_t>(kUniverse));
-  for (int id = 0; id < kUniverse; ++id) {
-    const TupleRef expected = store.find(flow(id / 8, id % 8));
-    ASSERT_NE(expected, kNoTupleRef);
-    for (int worker = 0; worker < kThreads; ++worker) {
-      EXPECT_EQ(seen[worker][id], expected)
-          << "worker " << worker << ", tuple " << id;
-    }
-  }
-}
 
 TEST(TupleStore, ConcurrentInterningAgreesOnRefs) {
   // Many threads intern an overlapping tuple universe while also resolving
@@ -298,7 +187,7 @@ struct JoinIndexHashGuard {
   ~JoinIndexHashGuard() { Table::JoinIndex::set_hash_for_testing(nullptr); }
 };
 
-TEST(JoinIndexBatchProbe, ForcedHashCollisionsStillSeparateKeys) {
+TEST(JoinIndexOpenAddressing, ForcedHashCollisionsStillSeparateKeys) {
   // Every key hashes to the same slot, so the whole table becomes one linear
   // probe cluster: correctness must come from the stored-key comparison, and
   // termination from the table never exceeding its load factor.
@@ -320,7 +209,6 @@ TEST(JoinIndexBatchProbe, ForcedHashCollisionsStillSeparateKeys) {
     const std::vector<Value> key = {Value(v)};
     const std::uint64_t hash = Table::JoinIndex::hash_key(key);
     EXPECT_EQ(hash, 7u);
-    index.prefetch(hash);  // must be safe on a colliding cluster
     const auto* entries = index.lookup(hash, key);
     ASSERT_NE(entries, nullptr) << "key " << v;
     EXPECT_EQ(entries->size(), 8u);
@@ -347,7 +235,7 @@ TEST(JoinIndexBatchProbe, ForcedHashCollisionsStillSeparateKeys) {
   EXPECT_EQ(ones->size(), 8u);
 }
 
-TEST(JoinIndexBatchProbe, GrowthRehashesWithoutLosingEntries) {
+TEST(JoinIndexOpenAddressing, GrowthRehashesWithoutLosingEntries) {
   // No override here: drive the index through several rehash_grow cycles and
   // check every key remains reachable through the open-addressing probe.
   TableDecl decl;
@@ -368,56 +256,6 @@ TEST(JoinIndexBatchProbe, GrowthRehashesWithoutLosingEntries) {
     ASSERT_EQ(entries->size(), 1u);
     EXPECT_EQ(entries->front().tuple->at(1), Value(v));
   }
-}
-
-// ----------------------------------------------- dense batch primitives --
-
-TEST(SelectionVector, FilterCompactsStablyInPlace) {
-  store::SelectionVector sel;
-  EXPECT_TRUE(sel.empty());
-  sel.reset_identity(10);
-  EXPECT_EQ(sel.size(), 10u);
-  const std::size_t survivors =
-      sel.filter([](std::uint32_t i) { return i % 3 == 0; });
-  EXPECT_EQ(survivors, 4u);
-  ASSERT_EQ(sel.size(), 4u);
-  const std::vector<std::uint32_t> expected = {0, 3, 6, 9};
-  EXPECT_TRUE(std::equal(sel.begin(), sel.end(), expected.begin(),
-                         expected.end()));
-  sel.clear();
-  sel.push_back(42);
-  EXPECT_EQ(sel[0], 42u);
-  EXPECT_EQ(sel.filter([](std::uint32_t) { return false; }), 0u);
-  EXPECT_TRUE(sel.empty());
-}
-
-TEST(ValueMatrix, RowsKeepStrideAcrossReallocationAndSelfCopy) {
-  store::ValueMatrix m;
-  m.reset(3);
-  EXPECT_EQ(m.rows(), 0u);
-  const std::size_t first = m.add_row();
-  m.row(first)[0] = Value(1);
-  m.row(first)[1] = Value("x");
-  m.row(first)[2] = Value(2.5);
-  // Repeated self-copies force reallocation while the source row lives in
-  // the same storage being grown.
-  for (int i = 0; i < 200; ++i) {
-    const std::size_t r = m.add_row_copy(first);
-    EXPECT_EQ(r, static_cast<std::size_t>(i) + 1);
-  }
-  ASSERT_EQ(m.rows(), 201u);
-  EXPECT_EQ(m.stride(), 3u);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    EXPECT_EQ(m.at(r, 0), Value(1)) << "row " << r;
-    EXPECT_EQ(m.at(r, 1), Value("x")) << "row " << r;
-    EXPECT_EQ(m.at(r, 2), Value(2.5)) << "row " << r;
-  }
-  // reset keeps the storage but drops the rows; a new stride applies.
-  m.reset(2);
-  EXPECT_EQ(m.rows(), 0u);
-  EXPECT_EQ(m.stride(), 2u);
-  const std::size_t row = m.add_row();
-  EXPECT_EQ(m.at(row, 0), Value());
 }
 
 // -------------------------------------------- randomized round-trip per type --
