@@ -43,8 +43,7 @@ IngestStream::IngestStream(std::string key, Program program, Topology topology,
       truncated_bytes_counter_(registry.counter("dp.ingest.truncated_bytes")),
       rebuilds_counter_(registry.counter("dp.ingest.live_rebuilds")),
       snapshots_counter_(registry.counter("dp.ingest.snapshots")),
-      snapshot_us_(registry.histogram("dp.ingest.snapshot_us")),
-      snapshot_sketch_(registry.sketch("dp.ingest.snapshot_us")) {
+      snapshot_us_(registry.sketch("dp.ingest.snapshot_us")) {
   if (ingest_.epoch_events == 0) ingest_.epoch_events = 1;
   // Live streams always run to arrival horizon; a truncated replay would
   // break the byte-identity contract against full-prefix replay.
@@ -183,9 +182,7 @@ std::shared_ptr<const BadRun> IngestStream::ensure_current(bool* rebuilt) {
   recorder_->graph().publish_metrics(*registry_);
   ++stats_.snapshots;
   snapshots_counter_.inc();
-  const auto us = static_cast<double>(now_us() - started);
-  snapshot_us_.observe(us);
-  snapshot_sketch_.observe(us);
+  snapshot_us_.observe(static_cast<double>(now_us() - started));
   update_resident();
   if (rebuilt != nullptr) *rebuilt = did_rebuild;
   return run_;

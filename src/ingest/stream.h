@@ -228,9 +228,7 @@ class IngestStream {
   obs::Counter& truncated_bytes_counter_;
   obs::Counter& rebuilds_counter_;
   obs::Counter& snapshots_counter_;
-  obs::Histogram& snapshot_us_;
-  // Quantile-sketch twin of snapshot_us_ (same series, tail quantiles).
-  obs::QuantileSketch& snapshot_sketch_;
+  obs::QuantileSketch& snapshot_us_;
 };
 
 }  // namespace dp::ingest

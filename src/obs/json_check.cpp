@@ -706,10 +706,8 @@ PrometheusCheck check_prometheus_text(std::string_view text) {
 
   // Quantile-sketch families: every *_p999 gauge anchors a family that must
   // carry monotone p50 <= p95 <= p99 <= p999, all bounded by the exact _max,
-  // and (when the paired histogram exists) a _sketch_count consistent with
-  // the histogram's _count. The exporter renders both from live lock-free
-  // instruments, so a scrape racing observes can legitimately see the two
-  // counts differ by the observes that landed in between; allow 1% + 8.
+  // and (when the histogram family of the same name exists) a _sketch_count
+  // equal to its _count -- the exporter renders both from one snapshot.
   constexpr std::string_view kP999 = "_p999";
   for (const auto& [name, value] : scalars) {
     if (name.size() <= kP999.size() ||
@@ -744,13 +742,9 @@ PrometheusCheck check_prometheus_text(std::string_view text) {
       return fail("missing _sketch_count alongside _p999");
     }
     const auto hist_it = histograms.find(base);
-    if (hist_it != histograms.end()) {
-      const double a = sketch_count_it->second;
-      const double b = hist_it->second.count;
-      const double slack = 8 + 0.01 * (a > b ? a : b);
-      if (a > b + slack || b > a + slack) {
-        return fail("_sketch_count diverges from the histogram _count");
-      }
+    if (hist_it != histograms.end() &&
+        sketch_count_it->second != hist_it->second.count) {
+      return fail("_sketch_count diverges from the histogram _count");
     }
   }
   check.ok = true;

@@ -95,7 +95,9 @@ struct PrometheusCheck {
 /// preceding "# TYPE", and histogram series are semantically sound --
 /// "le" strictly increasing with a final +Inf bucket, *cumulative* bucket
 /// counts non-decreasing and <= the "_count" sample (+Inf == count), and
-/// "_sum" >= 0 for latency histograms (names ending in "_us").
+/// "_sum" >= 0 for latency histograms (names ending in "_us"). Sketch
+/// families (*_p50 .. *_p999, *_max, *_sketch_count) must be monotone,
+/// bounded by _max, and count exactly what the same-named histogram does.
 PrometheusCheck check_prometheus_text(std::string_view text);
 
 }  // namespace dp::obs

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace dp::obs {
 
@@ -55,62 +55,6 @@ std::string prometheus_name(const std::string& name) {
 
 }  // namespace
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("histogram needs at least one bucket bound");
-  }
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (!(bounds_[i - 1] < bounds_[i])) {
-      throw std::invalid_argument("histogram bounds must strictly increase");
-    }
-  }
-  buckets_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-}
-
-void Histogram::observe(double v) {
-  // Binary search for the first bound >= v (le semantics).
-  std::size_t lo = 0;
-  std::size_t hi = bounds_.size();  // hi == size() -> overflow bucket
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (bounds_[mid] >= v) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  buckets_[lo].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-}
-
-const std::vector<double>& latency_us_bounds() {
-  static const std::vector<double> bounds = {
-      1,    2,    5,     10,    20,    50,     100,    200,
-      500,  1000, 2000,  5000,  10000, 20000,  50000,  100000,
-      200000, 500000, 1000000};
-  return bounds;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard lock(mutex_);
   auto& slot = counters_[name];
@@ -125,17 +69,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
-  std::lock_guard lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>(
-        upper_bounds.empty() ? latency_us_bounds() : std::move(upper_bounds));
-  }
-  return *slot;
-}
-
 QuantileSketch& MetricsRegistry::sketch(const std::string& name) {
   std::lock_guard lock(mutex_);
   auto& slot = sketches_[name];
@@ -147,14 +80,12 @@ void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, s] : sketches_) s->reset();
 }
 
 std::size_t MetricsRegistry::size() const {
   std::lock_guard lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         sketches_.size();
+  return counters_.size() + gauges_.size() + sketches_.size();
 }
 
 std::string MetricsRegistry::to_prometheus() const {
@@ -168,26 +99,20 @@ std::string MetricsRegistry::to_prometheus() const {
     const std::string p = prometheus_name(name);
     out << "# TYPE " << p << " gauge\n" << p << " " << g->value() << "\n";
   }
-  for (const auto& [name, h] : histograms_) {
-    const std::string p = prometheus_name(name);
-    out << "# TYPE " << p << " histogram\n";
-    const auto counts = h->bucket_counts();
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      cumulative += counts[i];
-      out << p << "_bucket{le=\"" << json_number(h->bounds()[i]) << "\"} "
-          << cumulative << "\n";
-    }
-    out << p << "_bucket{le=\"+Inf\"} " << h->count() << "\n";
-    out << p << "_sum " << json_number(h->sum()) << "\n";
-    out << p << "_count " << h->count() << "\n";
-  }
-  // Sketch quantiles export as per-quantile gauge families (suffixes that
-  // never collide with the paired histogram's _bucket/_sum/_count) plus a
-  // _sketch_count counter for cross-checking against the histogram.
+  // Each sketch renders from one snapshot, so the +Inf bucket, _count and
+  // _sketch_count are the same number even while observes race the scrape.
+  const std::vector<double>& bounds = latency_us_bounds();
   for (const auto& [name, s] : sketches_) {
     const std::string p = prometheus_name(name);
     const QuantileSketch::Snapshot snap = s->snapshot();
+    out << "# TYPE " << p << " histogram\n";
+    for (std::size_t i = 0; i < bounds.size(); ++i) {
+      out << p << "_bucket{le=\"" << json_number(bounds[i]) << "\"} "
+          << snap.le_counts[i] << "\n";
+    }
+    out << p << "_bucket{le=\"+Inf\"} " << snap.count << "\n";
+    out << p << "_sum " << json_number(snap.sum) << "\n";
+    out << p << "_count " << snap.count << "\n";
     const std::pair<const char*, double> quantiles[] = {
         {"_p50", snap.p50},   {"_p95", snap.p95}, {"_p99", snap.p99},
         {"_p999", snap.p999}, {"_max", snap.max},
@@ -219,30 +144,32 @@ std::string MetricsRegistry::to_json() const {
         << "\": " << g->value();
     first = false;
   }
+  std::vector<QuantileSketch::Snapshot> snaps;
+  snaps.reserve(sketches_.size());
+  for (const auto& [name, s] : sketches_) snaps.push_back(s->snapshot());
+  const std::vector<double>& bounds = latency_us_bounds();
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  std::size_t i = 0;
+  for (const auto& [name, s] : sketches_) {
+    const QuantileSketch::Snapshot& snap = snaps[i++];
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-        << "\": {\"count\": " << h->count()
-        << ", \"sum\": " << json_number(h->sum()) << ", \"buckets\": [";
-    const auto counts = h->bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i != 0) out << ", ";
-      out << "{\"le\": ";
-      if (i < h->bounds().size()) {
-        out << json_number(h->bounds()[i]);
-      } else {
-        out << "\"+Inf\"";
-      }
-      out << ", \"count\": " << counts[i] << "}";
+        << "\": {\"count\": " << snap.count
+        << ", \"sum\": " << json_number(snap.sum) << ", \"buckets\": [";
+    std::uint64_t below = 0;
+    for (std::size_t b = 0; b < bounds.size(); ++b) {
+      out << "{\"le\": " << json_number(bounds[b])
+          << ", \"count\": " << snap.le_counts[b] - below << "}, ";
+      below = snap.le_counts[b];
     }
-    out << "]}";
+    out << "{\"le\": \"+Inf\", \"count\": " << snap.count - below << "}]}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"sketches\": {";
   first = true;
+  i = 0;
   for (const auto& [name, s] : sketches_) {
-    const QuantileSketch::Snapshot snap = s->snapshot();
+    const QuantileSketch::Snapshot& snap = snaps[i++];
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": {\"count\": " << snap.count
         << ", \"min\": " << json_number(snap.min)
@@ -272,23 +199,16 @@ std::string MetricsRegistry::to_text() const {
                   static_cast<long long>(g->value()));
     out << buf;
   }
-  for (const auto& [name, h] : histograms_) {
-    const double mean = h->count() == 0 ? 0 : h->sum() / h->count();
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "  %-48s count=%llu sum=%.1f mean=%.2f\n", name.c_str(),
-                  static_cast<unsigned long long>(h->count()), h->sum(), mean);
-    out << buf;
-  }
   for (const auto& [name, s] : sketches_) {
     const QuantileSketch::Snapshot snap = s->snapshot();
-    char buf[240];
+    const double mean = snap.count == 0 ? 0 : snap.sum / snap.count;
+    char buf[320];
     std::snprintf(buf, sizeof(buf),
-                  "  %-48s n=%llu p50=%.1f p95=%.1f p99=%.1f p999=%.1f "
-                  "max=%.1f\n",
-                  (name + " (sketch)").c_str(),
-                  static_cast<unsigned long long>(snap.count), snap.p50,
-                  snap.p95, snap.p99, snap.p999, snap.max);
+                  "  %-48s count=%llu sum=%.1f mean=%.2f p50=%.1f p95=%.1f "
+                  "p99=%.1f p999=%.1f max=%.1f\n",
+                  name.c_str(), static_cast<unsigned long long>(snap.count),
+                  snap.sum, mean, snap.p50, snap.p95, snap.p99, snap.p999,
+                  snap.max);
     out << buf;
   }
   return out.str();

@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms.
+// Metrics registry: named counters, gauges and latency sketches.
 //
 // Naming scheme: `dp.<layer>.<name>` (e.g. dp.runtime.tuples_scanned,
 // dp.prov.vertex.derive, dp.diffprov.rounds). Dots become underscores in the
@@ -16,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/sketch.h"
 
@@ -58,37 +57,6 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Fixed-bucket histogram with Prometheus `le` (inclusive upper bound)
-/// semantics: observe(v) lands in the first bucket whose bound >= v; values
-/// above the last bound land in the implicit +Inf overflow bucket.
-class Histogram {
- public:
-  /// `upper_bounds` must be non-empty and strictly increasing.
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double v);
-
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// One count per bound plus the +Inf overflow bucket (size bounds()+1).
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0};
-};
-
-/// Default bucket bounds for microsecond latencies (1us .. 1s, log-ish).
-const std::vector<double>& latency_us_bounds();
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -98,13 +66,10 @@ class MetricsRegistry {
   /// Finds or creates. References stay valid for the registry's lifetime.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// `upper_bounds` is used only on first creation (empty = latency_us
-  /// defaults); later calls return the existing histogram unchanged.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds = {});
-  /// Quantile sketch (sketch.h). Conventionally registered under the same
-  /// name as the histogram it augments (e.g. dp.service.exec_us), exported
-  /// as <name>_p50/_p95/_p99/_p999/_max gauges plus <name>_sketch_count.
+  /// Latency sketch (sketch.h), e.g. dp.service.exec_us. Exported as a
+  /// Prometheus histogram (<name>_bucket{le} over latency_us_bounds(),
+  /// _sum, _count), <name>_p50/_p95/_p99/_p999/_max gauges and
+  /// <name>_sketch_count -- all rendered from one snapshot.
   QuantileSketch& sketch(const std::string& name);
 
   /// Zeroes every instrument (the instruments survive; references stay
@@ -117,7 +82,8 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_prometheus() const;
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum,
   ///  buckets: [{le, count}...]}}, "sketches": {name: {count, min, max, p50,
-  ///  p95, p99, p999}}} -- the +Inf bound is the string "+Inf".
+  ///  p95, p99, p999}}} -- every sketch appears in both sections; bucket
+  ///  counts are per bucket and the +Inf bound is the string "+Inf".
   [[nodiscard]] std::string to_json() const;
   /// Human-readable table for --stats.
   [[nodiscard]] std::string to_text() const;
@@ -126,7 +92,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<QuantileSketch>> sketches_;
 };
 

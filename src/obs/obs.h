@@ -3,7 +3,7 @@
 // Compile-time guard: build with -DDP_OBS_ENABLED=0 to compile every macro
 // below to nothing (for overhead baselines; see bench/bench_obs.cpp, which
 // compiles the same workload both ways). Default is on; the *runtime* cost
-// with the tracer disabled is one relaxed load + branch per span.
+// with the tracer and recorder off is two relaxed loads + branches per span.
 //
 // Usage:
 //   DP_SPAN("dp.diffprov.find_seed");       // RAII span to end of scope

@@ -27,8 +27,8 @@ double from_bits(std::uint64_t bits) {
   return v;
 }
 
-/// Lowest value covered by its own bucket; anything smaller (zero, negative,
-/// NaN via the negated comparison) lands in bucket 0 and relies on min() for
+/// Lower edge of bucket 0; anything at or below it (zero, negative, NaN via
+/// the negated comparison) lands in bucket 0 and relies on min() for
 /// exactness.
 constexpr double kMinTracked = 0x1p-20;
 
@@ -60,6 +60,14 @@ double clamp_into(double v, double lo, double hi) {
 
 }  // namespace
 
+const std::vector<double>& latency_us_bounds() {
+  static const std::vector<double> bounds = {
+      1,    2,    5,     10,    20,    50,     100,    200,
+      500,  1000, 2000,  5000,  10000, 20000,  50000,  100000,
+      200000, 500000, 1000000};
+  return bounds;
+}
+
 QuantileSketch::QuantileSketch()
     : min_bits_(to_bits(std::numeric_limits<double>::infinity())),
       max_bits_(to_bits(-std::numeric_limits<double>::infinity())) {
@@ -69,8 +77,11 @@ QuantileSketch::QuantileSketch()
 }
 
 std::size_t QuantileSketch::index_for(double value) {
-  if (!(value >= kMinTracked)) return 0;  // also catches NaN
-  const std::size_t raw = static_cast<std::size_t>(to_bits(value) >> kIndexShift);
+  if (!(value > kMinTracked)) return 0;  // also catches NaN
+  // Upper-inclusive buckets: an edge value (zero low mantissa bits) drops
+  // into the bucket below, so `le` counts at edges are exact.
+  const std::size_t raw =
+      static_cast<std::size_t>((to_bits(value) - 1) >> kIndexShift);
   const std::size_t index = raw - static_cast<std::size_t>(kBaseIndex);
   return index >= kBuckets ? kBuckets - 1 : index;
 }
@@ -83,23 +94,9 @@ double QuantileSketch::bucket_mid(std::size_t index) {
 
 void QuantileSketch::observe(double value) {
   buckets_[index_for(value)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
   update_min(min_bits_, value);
   update_max(max_bits_, value);
-}
-
-void QuantileSketch::merge(const QuantileSketch& other) {
-  std::uint64_t added = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) {
-      buckets_[i].fetch_add(n, std::memory_order_relaxed);
-      added += n;
-    }
-  }
-  if (added != 0) {
-    update_min(min_bits_, other.min());
-    update_max(max_bits_, other.max());
-  }
 }
 
 std::uint64_t QuantileSketch::count() const {
@@ -164,6 +161,19 @@ QuantileSketch::Snapshot QuantileSketch::snapshot() const {
   }
   Snapshot snap;
   snap.count = total;
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  // Cumulative counts at each `le` bound: everything up to and including
+  // the bucket the bound itself would land in.
+  const std::vector<double>& bounds = latency_us_bounds();
+  snap.le_counts.reserve(bounds.size());
+  std::size_t next = 0;
+  std::uint64_t below = 0;
+  for (const double bound : bounds) {
+    for (const std::size_t last = index_for(bound); next <= last; ++next) {
+      below += local[next];
+    }
+    snap.le_counts.push_back(below);
+  }
   if (total == 0) return snap;
   const double lo = from_bits(min_bits_.load(std::memory_order_relaxed));
   const double hi = from_bits(max_bits_.load(std::memory_order_relaxed));
@@ -180,6 +190,7 @@ void QuantileSketch::reset() {
   for (auto& bucket : buckets_) {
     bucket.store(0, std::memory_order_relaxed);
   }
+  sum_.store(0, std::memory_order_relaxed);
   min_bits_.store(to_bits(std::numeric_limits<double>::infinity()),
                   std::memory_order_relaxed);
   max_bits_.store(to_bits(-std::numeric_limits<double>::infinity()),

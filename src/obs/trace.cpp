@@ -73,12 +73,12 @@ std::string format_trace_id(std::uint64_t id) {
   return std::string(buf + i);
 }
 
-void Tracer::record_complete(std::string name, const char* category,
+void Tracer::record_complete(std::string_view name, const char* category,
                              std::uint64_t start_us, std::uint64_t duration_us,
                              std::uint64_t trace_id, std::uint64_t span_id,
                              std::uint64_t parent_span_id) {
   TraceEvent event;
-  event.name = std::move(name);
+  event.name = std::string(name);
   event.category = category;
   event.start_us = start_us;
   event.duration_us = duration_us;

@@ -18,11 +18,11 @@
 // does exactly this with the context minted by diffprov_client and carried
 // in the NDJSON `trace` field.
 //
-// Cost model: when the tracer is disabled a span costs three relaxed atomic
-// loads and branches (tracer + flight recorder + profiler gates); nothing is
-// allocated or timestamped. When compiled out (DP_OBS_ENABLED=0, see obs.h) the macros
-// vanish entirely. Spans whose tracer is off but whose flight recorder is on
-// take the cheap path described in flightrec.h.
+// Cost model: when the tracer is disabled a span costs two relaxed atomic
+// loads and branches (tracer + recorder gates); nothing is allocated or
+// timestamped. When compiled out (DP_OBS_ENABLED=0, see obs.h) the macros
+// vanish entirely. Spans whose tracer is off but whose recorder is on take
+// the cheap path described in recorder.h.
 #pragma once
 
 #include <atomic>
@@ -32,8 +32,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/flightrec.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 
 namespace dp::obs {
 
@@ -109,7 +108,7 @@ class Tracer {
 
   /// Appends one complete event (thread-safe). Called by ~Span; direct use
   /// is fine for events timed by other means.
-  void record_complete(std::string name, const char* category,
+  void record_complete(std::string_view name, const char* category,
                        std::uint64_t start_us, std::uint64_t duration_us,
                        std::uint64_t trace_id = 0, std::uint64_t span_id = 0,
                        std::uint64_t parent_span_id = 0);
@@ -135,36 +134,26 @@ class Tracer {
 /// CLI's --trace-out (or tests); disabled by default.
 Tracer& default_tracer();
 
-/// RAII span. If the tracer is disabled at construction the span is inert --
-/// unless the flight recorder is on, in which case the span takes the cheap
-/// flight path: no clock reads or copies at construction, one ring-buffer
-/// write at end(). In flight-only mode -- and whenever the scope profiler is
-/// enabled, whose per-thread stack borrows the same buffer -- the `name`
-/// buffer must outlive the span (string literals and the engine's interned
-/// rule labels do; every DP_SPAN site passes one of those). end() closes the
-/// span early; the destructor closes it otherwise.
+/// RAII span. With the tracer on it records a trace event; with the
+/// recorder on it pushes onto the thread's scope stack and writes the ring
+/// when it closes (no clock reads: the ring duration is 0 unless the tracer
+/// also timed the span). Otherwise it is inert. `name` is borrowed, never
+/// copied until the span closes, so it must outlive the span -- every
+/// DP_SPAN site passes a string literal or an interned rule label. end()
+/// closes the span early; the destructor closes it otherwise.
 class Span {
  public:
-  Span(Tracer& tracer, std::string_view name, const char* category = "dp") {
+  Span(Tracer& tracer, std::string_view name, const char* category = "dp")
+      : name_(name) {
     if (tracer.enabled()) {
       tracer_ = &tracer;
-      name_ = std::string(name);
       category_ = category;
       start_us_ = monotonic_micros();
       parent_ = current_trace_context();
       span_id_ = next_span_id();
       install({parent_.trace_id, span_id_});
-    } else if (flight_recorder_enabled()) {
-      flight_ = true;
-      name_view_ = name;
     }
-    // Third gate, independent of the other two: while the scope profiler is
-    // on, every span additionally mirrors itself onto the thread's sampled
-    // scope stack (profiler.h). The returned handle keeps push/pop balanced
-    // even if the profiler toggles mid-span.
-    if (profiler_enabled()) {
-      prof_scope_ = profiler_push_scope(name);
-    }
+    if (recorder_enabled()) record_ = recorder_detail::open_span(name);
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -174,37 +163,30 @@ class Span {
   /// construction and end() has not run yet).
   [[nodiscard]] bool active() const { return tracer_ != nullptr; }
 
-  /// Records the event now (idempotent).
+  /// Records the span now (idempotent).
   void end() {
-    if (prof_scope_ != nullptr) {
-      profiler_pop_scope(prof_scope_);
-      prof_scope_ = nullptr;
-    }
+    std::uint64_t duration = 0;
     if (tracer_ != nullptr) {
       Tracer* t = tracer_;
       tracer_ = nullptr;
       install(parent_);
-      const std::uint64_t duration = monotonic_micros() - start_us_;
-      if (flight_recorder_enabled()) {
-        flight_record_span(name_, parent_.trace_id, duration);
-      }
-      t->record_complete(std::move(name_), category_, start_us_, duration,
+      duration = monotonic_micros() - start_us_;
+      t->record_complete(name_, category_, start_us_, duration,
                          parent_.trace_id, span_id_, parent_.span_id);
-    } else if (flight_) {
-      flight_ = false;
-      flight_record_span(name_view_, current_trace_context().trace_id,
-                         /*duration_us=*/0);
+    }
+    if (record_ != nullptr) {
+      recorder_detail::close_span(record_, name_,
+                                  current_trace_context().trace_id, duration);
+      record_ = nullptr;
     }
   }
 
  private:
   static void install(TraceContext context);
 
-  Tracer* tracer_ = nullptr;    // null = not tracing
-  bool flight_ = false;         // flight-only mode (tracer off, recorder on)
-  void* prof_scope_ = nullptr;  // profiler stack this span was pushed onto
-  std::string name_;
-  std::string_view name_view_;  // flight-only: borrowed, see class comment
+  Tracer* tracer_ = nullptr;  // null = not tracing
+  recorder_detail::ThreadRecord* record_ = nullptr;  // null = not recording
+  std::string_view name_;
   const char* category_ = "dp";
   std::uint64_t start_us_ = 0;
   TraceContext parent_{};

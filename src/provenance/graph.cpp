@@ -9,15 +9,8 @@ namespace dp {
 
 namespace {
 
-/// Latency histogram for provenance lookups, sampled only while the tracer
-/// is enabled (a steady_clock read per lookup is too expensive otherwise).
-obs::Histogram& lookup_histogram() {
-  static obs::Histogram& hist =
-      obs::default_registry().histogram("dp.prov.lookup_us");
-  return hist;
-}
-
-/// Quantile-sketch twin of lookup_histogram() (same series, tail quantiles).
+/// Latency sketch for provenance lookups, sampled only while the tracer is
+/// enabled (a steady_clock read per lookup is too expensive otherwise).
 obs::QuantileSketch& lookup_sketch() {
   static obs::QuantileSketch& sketch =
       obs::default_registry().sketch("dp.prov.lookup_us");
@@ -33,9 +26,7 @@ class LookupSample {
   }
   ~LookupSample() {
     if (start_us_ != kOff) {
-      const auto us = double(obs::monotonic_micros() - start_us_);
-      lookup_histogram().observe(us);
-      lookup_sketch().observe(us);
+      lookup_sketch().observe(double(obs::monotonic_micros() - start_us_));
     }
   }
   LookupSample(const LookupSample&) = delete;

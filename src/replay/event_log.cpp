@@ -42,8 +42,7 @@ constexpr std::uint32_t kMaxStringLen = 1u << 24;  // string field payloads
 constexpr std::uint16_t kMaxArity = 1024;
 constexpr std::uint32_t kMaxRefTable = 1u << 26;   // distinct tuples per log
 
-// Ref-table format marker; the legacy flat format starts with an op byte
-// (0/1), so the first byte disambiguates.
+// Format marker every serialized log starts with.
 constexpr char kMagic[4] = {'D', 'P', 'L', '2'};
 
 /// Byte-counting reader over an istream: every primitive read advances
@@ -323,51 +322,26 @@ EventLog EventLog::deserialize(std::istream& in) {
   ByteReader reader{in};
   if (reader.at_eof()) return log;
 
-  if (in.peek() == kMagic[0]) {
-    // Ref-table format: magic, table of distinct tuples, then records.
-    for (char expected : kMagic) {
-      const std::uint64_t magic_offset = reader.offset;
-      const std::uint8_t b = reader.u8();
-      if (b != static_cast<std::uint8_t>(expected)) {
-        throw std::runtime_error("event log: corrupt format magic at byte "
-                                 "offset " +
-                                 std::to_string(magic_offset));
-      }
+  // Magic, table of distinct tuples, then records.
+  for (char expected : kMagic) {
+    const std::uint64_t magic_offset = reader.offset;
+    const std::uint8_t b = reader.u8();
+    if (b != static_cast<std::uint8_t>(expected)) {
+      throw std::runtime_error("event log: corrupt format magic at byte "
+                               "offset " +
+                               std::to_string(magic_offset));
     }
-    const std::uint32_t count = reader.u32();
-    if (count > kMaxRefTable) {
-      reader.fail("implausible ref-table count " + std::to_string(count));
-    }
-    std::vector<TupleRef> refs;
-    refs.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      refs.push_back(intern_tuple(get_tuple(reader)));
-    }
-    while (!reader.at_eof()) {
-      const std::uint64_t record_offset = reader.offset;
-      const std::uint8_t op = reader.u8();
-      if (op > static_cast<std::uint8_t>(LogRecord::Op::kDelete)) {
-        throw std::runtime_error("event log: corrupt op byte " +
-                                 std::to_string(op) + " at byte offset " +
-                                 std::to_string(record_offset));
-      }
-      const auto time = static_cast<LogicalTime>(reader.u64());
-      const std::uint32_t index = reader.u32();
-      if (index >= count) {
-        throw std::runtime_error(
-            "event log: ref-table index " + std::to_string(index) +
-            " out of range (table holds " + std::to_string(count) +
-            ") at byte offset " + std::to_string(record_offset));
-      }
-      log.append(LogRecord{static_cast<LogRecord::Op>(op), time,
-                           refs[index]});
-    }
-    return log;
   }
-
-  // Legacy flat format: every record carries the full tuple payload.
+  const std::uint32_t count = reader.u32();
+  if (count > kMaxRefTable) {
+    reader.fail("implausible ref-table count " + std::to_string(count));
+  }
+  std::vector<TupleRef> refs;
+  refs.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    refs.push_back(intern_tuple(get_tuple(reader)));
+  }
   while (!reader.at_eof()) {
-    LogRecord record;
     const std::uint64_t record_offset = reader.offset;
     const std::uint8_t op = reader.u8();
     if (op > static_cast<std::uint8_t>(LogRecord::Op::kDelete)) {
@@ -375,10 +349,15 @@ EventLog EventLog::deserialize(std::istream& in) {
                                std::to_string(op) + " at byte offset " +
                                std::to_string(record_offset));
     }
-    record.op = static_cast<LogRecord::Op>(op);
-    record.time = static_cast<LogicalTime>(reader.u64());
-    record.tuple_ref = intern_tuple(get_tuple(reader));
-    log.append(record);
+    const auto time = static_cast<LogicalTime>(reader.u64());
+    const std::uint32_t index = reader.u32();
+    if (index >= count) {
+      throw std::runtime_error(
+          "event log: ref-table index " + std::to_string(index) +
+          " out of range (table holds " + std::to_string(count) +
+          ") at byte offset " + std::to_string(record_offset));
+    }
+    log.append(LogRecord{static_cast<LogRecord::Op>(op), time, refs[index]});
   }
   return log;
 }

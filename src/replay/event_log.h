@@ -12,9 +12,8 @@
 // (store/store.h). The wire format matches: a *ref table* of the distinct
 // tuples (serialized once each, in first-appearance order) followed by the
 // record stream as 4-byte table indexes, so a config tuple toggled 1k times
-// costs its payload once plus 1k fixed-size records. `deserialize` also
-// reads the legacy flat format (tuple payload repeated per record) that
-// pre-ref-table logs were written in.
+// costs its payload once plus 1k fixed-size records. A stream without the
+// "DPL2" magic is rejected (the pre-ref-table flat format is not read).
 #pragma once
 
 #include <cstdint>
@@ -77,8 +76,9 @@ class EventLog {
   /// Binary round-trip. Format: magic "DPL2", u32 ref-table count, the
   /// distinct tuples once each (table-name len-prefixed, field-count(2),
   /// fields as tag + payload), then per record op(1) time(8) ref-index(4).
-  /// deserialize also accepts the legacy format (no magic; the full tuple
-  /// payload inlined in every record).
+  /// deserialize throws, naming the byte offset, on any malformed input --
+  /// "corrupt format magic at byte offset 0" for a stream without the
+  /// magic. An empty stream is an empty log.
   void serialize(std::ostream& out) const;
   static EventLog deserialize(std::istream& in);
 
@@ -91,7 +91,7 @@ class EventLog {
   static EventLog from_text(std::string_view text);
 
   /// Standalone serialized size of a single record -- op + time + the full
-  /// tuple payload, i.e. the legacy per-record wire cost. This is the
+  /// tuple payload, i.e. the flat per-record wire cost. This is the
   /// paper-accurate unit the logging-rate figures (5/6) bill per event,
   /// independent of ref-table sharing within a particular log.
   static std::uint64_t record_size(const LogRecord& record);

@@ -15,20 +15,16 @@ namespace {
 /// functions' many early returns (RAII).
 class FiringScope {
  public:
-  FiringScope(const std::string& label, obs::Histogram* hist,
-              obs::QuantileSketch* sketch)
+  FiringScope(std::string_view label, obs::QuantileSketch* sketch)
       : span_(obs::default_tracer(), label, "rule") {
     if (span_.active()) {
-      hist_ = hist;
       sketch_ = sketch;
       start_us_ = obs::monotonic_micros();
     }
   }
   ~FiringScope() {
-    if (hist_ != nullptr) {
-      const auto us = double(obs::monotonic_micros() - start_us_);
-      hist_->observe(us);
-      if (sketch_ != nullptr) sketch_->observe(us);
+    if (sketch_ != nullptr) {
+      sketch_->observe(double(obs::monotonic_micros() - start_us_));
     }
   }
   FiringScope(const FiringScope&) = delete;
@@ -36,7 +32,6 @@ class FiringScope {
 
  private:
   obs::Span span_;
-  obs::Histogram* hist_ = nullptr;
   obs::QuantileSketch* sketch_ = nullptr;
   std::uint64_t start_us_ = 0;
 };
@@ -62,11 +57,12 @@ Engine::Engine(Program program, EngineConfig config)
   rule_span_labels_.reserve(rules.size());
   rule_metric_names_.reserve(rules.size());
   for (const Rule& rule : rules) {
-    rule_span_labels_.push_back("rule:" + rule.name);
+    // Interned once per process: the recorder's scope stack borrows the
+    // label's bytes, and a sampler may read them after this engine is gone.
+    rule_span_labels_.push_back(resolve_name(intern_name("rule:" + rule.name)));
     rule_metric_names_.push_back("dp.runtime.rule_firings." +
                                  obs::sanitize_metric_segment(rule.name));
   }
-  fire_hist_ = &metrics_->histogram("dp.runtime.rule_fire_us");
   fire_sketch_ = &metrics_->sketch("dp.runtime.rule_fire_us");
 }
 
@@ -439,8 +435,7 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
                        const Tuple& arrival, LogicalTime t) {
   const std::size_t rule_index =
       static_cast<std::size_t>(&rule - program_.rules().data());
-  FiringScope firing_scope(rule_span_labels_[rule_index], fire_hist_,
-                           fire_sketch_);
+  FiringScope firing_scope(rule_span_labels_[rule_index], fire_sketch_);
   const NodeName& node = arrival.location();
 
   // Depth-first join over the remaining body atoms, in body order.
@@ -615,8 +610,7 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
 void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
                                LogicalTime t) {
   const Rule& rule = program_.rules()[plan.rule_index];
-  FiringScope firing_scope(rule_span_labels_[plan.rule_index], fire_hist_,
-                           fire_sketch_);
+  FiringScope firing_scope(rule_span_labels_[plan.rule_index], fire_sketch_);
   const NodeName& node = arrival.location();
 
   // Unify the arriving tuple against the trigger atom.

@@ -296,18 +296,16 @@ class Engine {
   std::map<NodeName, std::uint64_t> remote_by_node_;
   std::map<NodeName, std::uint64_t> remote_by_node_published_;
   // Precomputed per-rule labels so the firing hot path never concatenates:
-  // span names "rule:<name>" and metric names
-  // "dp.runtime.rule_firings.<name>".
-  std::vector<std::string> rule_span_labels_;
+  // span names "rule:<name>" (interned in the global NamePool, so they
+  // outlive the engine) and metric names "dp.runtime.rule_firings.<name>".
+  std::vector<std::string_view> rule_span_labels_;
   std::vector<std::string> rule_metric_names_;
   std::size_t queue_depth_max_ = 0;
 
   obs::MetricsRegistry* metrics_ = nullptr;    // publish target (never null)
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;  // when config.metrics==null
-  obs::Histogram* fire_hist_ = nullptr;  // dp.runtime.rule_fire_us, cached
-  // Quantile-sketch twin of fire_hist_ (same series name; exported as the
-  // _p50/_p95/_p99/_p999 gauges). Observed under the same traced-firing gate,
-  // so the untraced hot path stays branch-free.
+  // dp.runtime.rule_fire_us, cached. Observed only for traced firings, so
+  // the untraced hot path stays branch-free.
   obs::QuantileSketch* fire_sketch_ = nullptr;
 };
 

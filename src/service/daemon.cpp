@@ -10,8 +10,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/flightrec.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "service/http.h"
 #include "service/protocol.h"
 
@@ -53,11 +52,11 @@ Daemon::Daemon(DiagnosisService& service, std::uint16_t port)
   endpoints_->add("/healthz", "text/plain; charset=utf-8",
                   [] { return std::string("ok\n"); });
   endpoints_->add("/tracez", "application/json", [] {
-    return obs::FlightRecorder::instance().to_json() + "\n";
+    return obs::Recorder::instance().to_json() + "\n";
   });
   endpoints_->add("/profilez", "text/plain; charset=utf-8", [] {
-    // Collapsed-stack text, flamegraph-ready (profiler.h).
-    return obs::ScopeProfiler::instance().collapsed();
+    // Collapsed-stack text, flamegraph-ready (recorder.h).
+    return obs::Recorder::instance().collapsed();
   });
   endpoints_->add("/slowz", "application/json",
                   [this] { return service_.slowz_json() + "\n"; });

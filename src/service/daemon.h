@@ -12,7 +12,7 @@
 // served as one HTTP request and closed (sniff/route/respond live in
 // http.h, shared by every endpoint) -- `/metrics` (Prometheus text
 // exposition of the service registry), `/healthz` ("ok"), `/tracez` (the
-// flight-recorder dump as JSON), `/profilez` (the scope profiler's
+// recorder's ring dump as JSON), `/profilez` (the recorder's sampled
 // collapsed stacks, flamegraph-ready), and `/slowz` (the slow-query
 // journal as JSON). Anything else on the socket is the NDJSON protocol, so
 // `curl` and `diffprov_client` share the port.

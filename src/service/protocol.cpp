@@ -3,8 +3,8 @@
 #include <cmath>
 #include <sstream>
 
-#include "obs/flightrec.h"
 #include "obs/json_check.h"
+#include "obs/recorder.h"
 #include "obs/trace.h"
 
 namespace dp::service {
@@ -255,7 +255,7 @@ std::string handle_request(DiagnosisService& service, const std::string& line,
     if (op == "flightrec") {
       // Already single-line JSON, embeddable verbatim in the NDJSON reply.
       return "{\"ok\":true,\"flightrec\":" +
-             obs::FlightRecorder::instance().to_json() + "}";
+             obs::Recorder::instance().to_json() + "}";
     }
     if (op == "slowz") {
       // The slow-query journal (slowlog.h), same document /slowz serves.

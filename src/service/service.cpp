@@ -7,9 +7,8 @@
 #include <sstream>
 
 #include "ndlog/parser.h"
-#include "obs/flightrec.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "util/hash.h"
 
 namespace dp::service {
@@ -179,10 +178,8 @@ DiagnosisService::DiagnosisService(ServiceConfig config)
       worker_stuck_(registry_->gauge("dp.service.worker.stuck")),
       worker_panics_(registry_->counter("dp.service.worker.panics")),
       slow_captured_(registry_->counter("dp.service.slow.captured")),
-      queue_wait_us_(registry_->histogram("dp.service.queue_wait_us")),
-      exec_us_(registry_->histogram("dp.service.exec_us")),
-      queue_wait_sketch_(registry_->sketch("dp.service.queue_wait_us")),
-      exec_sketch_(registry_->sketch("dp.service.exec_us")) {
+      queue_wait_us_(registry_->sketch("dp.service.queue_wait_us")),
+      exec_us_(registry_->sketch("dp.service.exec_us")) {
   const std::size_t nshards = std::min<std::size_t>(
       std::max<std::size_t>(config_.shards, 1), kMaxShards);
   // The session-count cap is global; every shard enforces its slice (at
@@ -477,10 +474,10 @@ void DiagnosisService::watchdog_loop() {
     watchdog_cv_.wait_for(lock, config_.watchdog_interval,
                           [this] { return watchdog_stop_; });
     if (watchdog_stop_) break;
-    // Every tick keeps the flight recorder's coarse clock fresh, so ring
+    // Every tick keeps the recorder's coarse clock fresh, so ring
     // timestamps are accurate to ~one interval even on threads that record
     // rarely.
-    obs::refresh_flight_clock();
+    obs::Recorder::refresh_clock();
     // Ingest maintenance rides the tick: one compaction/truncation pass over
     // every idle stream (busy ones are try_lock-skipped), with pressure
     // truncation when the shared warm/ingest byte budget is exceeded.
@@ -503,7 +500,7 @@ void DiagnosisService::watchdog_loop() {
       // "why is this worker wedged now".
       const std::string reason = "watchdog: " + std::to_string(stuck) +
                                  " worker(s) past the deadline";
-      obs::FlightRecorder::instance().dump_to_stderr(reason);
+      obs::Recorder::instance().dump_to_stderr(reason);
       dump_slowz_to_stderr(reason);
     }
     last_stuck = stuck;
@@ -513,7 +510,7 @@ void DiagnosisService::watchdog_loop() {
 void DiagnosisService::run_job(Shard& shard,
                                const std::shared_ptr<JobState>& job) {
   const auto started_at = std::chrono::steady_clock::now();
-  // On the flight clock too: slow-query capture uses it to select profiler
+  // On the sampler's clock too: slow-query capture uses it to select stack
   // samples that landed on this thread while this job ran.
   const std::uint64_t job_start_us = obs::monotonic_micros();
   queue_depth_.add(-1);
@@ -532,7 +529,6 @@ void DiagnosisService::run_job(Shard& shard,
       it->second.state = QueryState::kRunning;
       it->second.queue_us = micros_between(it->second.submitted_at, started_at);
       queue_wait_us_.observe(it->second.queue_us);
-      queue_wait_sketch_.observe(it->second.queue_us);
       any_live = true;
     }
   }
@@ -554,7 +550,6 @@ void DiagnosisService::run_job(Shard& shard,
       it->second.state = QueryState::kRunning;
       it->second.queue_us = micros_between(it->second.submitted_at, started_at);
       queue_wait_us_.observe(it->second.queue_us);
-      queue_wait_sketch_.observe(it->second.queue_us);
       any_live = true;
     }
   }
@@ -624,7 +619,7 @@ void DiagnosisService::run_job(Shard& shard,
     // throw are exactly the forensics wanted here), report the failure to
     // the waiting tickets, and keep the worker alive.
     worker_panics_.inc();
-    obs::FlightRecorder::instance().dump_to_stderr(
+    obs::Recorder::instance().dump_to_stderr(
         std::string("worker panic: ") + e.what());
     dump_slowz_to_stderr(std::string("worker panic: ") + e.what());
     result.exit_code = 1;
@@ -643,9 +638,8 @@ void DiagnosisService::run_job(Shard& shard,
   const double exec_us = micros_between(started_at, finished_at);
   // Adaptive slow-query threshold: read the live p99 *before* folding this
   // job in, so one slow outlier cannot raise the bar it is judged against.
-  const double live_p99 = exec_sketch_.quantile(0.99);
+  const double live_p99 = exec_us_.quantile(0.99);
   exec_us_.observe(exec_us);
-  exec_sketch_.observe(exec_us);
   result.profile_json = render_profile_json(
       profile, session_wait_us, warm_replay_us, ingest_snapshot_us, warm_hit,
       exec_us, job->trace_id,
@@ -683,9 +677,9 @@ void DiagnosisService::capture_slow(Shard& shard, const JobState& job,
                                     double exec_us, double threshold_us,
                                     const std::string& profile_json,
                                     std::uint64_t job_start_us) {
-  // The span keeps at least one frame live on this thread's profiler stack
+  // The span keeps at least one frame live on this thread's scope stack
   // while self_slice() takes its synchronous self-sample, so the slice is
-  // non-empty whenever the profiler is enabled.
+  // non-empty whenever the recorder is on.
   DP_SPAN_CAT("dp.service.slow_capture", "service");
   SlowQueryEntry entry;
   entry.time_us = obs::monotonic_micros();
@@ -695,8 +689,8 @@ void DiagnosisService::capture_slow(Shard& shard, const JobState& job,
   entry.exec_us = exec_us;
   entry.threshold_us = threshold_us;
   entry.profile_json = profile_json;
-  entry.profile_slice = obs::ScopeProfiler::instance().self_slice(job_start_us);
-  entry.flightrec_json = obs::FlightRecorder::instance().to_json();
+  entry.profile_slice = obs::Recorder::instance().self_slice(job_start_us);
+  entry.flightrec_json = obs::Recorder::instance().to_json();
   shard.slow_journal.add(std::move(entry));
   slow_captured_.inc();
 }
@@ -718,7 +712,7 @@ std::string DiagnosisService::slowz_json() const {
 }
 
 void DiagnosisService::dump_slowz_to_stderr(const std::string& reason) const {
-  // One fwrite, mirroring FlightRecorder::dump_to_stderr: a single line a
+  // One fwrite, mirroring Recorder::dump_to_stderr: a single line a
   // log collector keeps intact.
   const std::string line = "[dp:SLOWZ] " + reason + ": " + slowz_json() + "\n";
   std::fwrite(line.data(), 1, line.size(), stderr);

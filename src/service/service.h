@@ -415,13 +415,9 @@ class DiagnosisService {
   obs::Gauge& worker_stuck_;
   obs::Counter& worker_panics_;
   obs::Counter& slow_captured_;
-  obs::Histogram& queue_wait_us_;
-  obs::Histogram& exec_us_;
-  /// Quantile sketches paired with the histograms above: same logical
-  /// series, exported as dp.service.*_p50/_p95/_p99/_p999. exec_sketch_
-  /// additionally feeds the adaptive slow-query threshold.
-  obs::QuantileSketch& queue_wait_sketch_;
-  obs::QuantileSketch& exec_sketch_;
+  obs::QuantileSketch& queue_wait_us_;
+  /// Also feeds the adaptive slow-query threshold (its live p99).
+  obs::QuantileSketch& exec_us_;
 };
 
 }  // namespace dp::service

@@ -8,7 +8,7 @@
 
 #include "ndlog/parser.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "service/diagnose.h"
 #include "service/problem.h"
 
@@ -237,8 +237,8 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   if (!options.trace_path.empty()) obs::default_tracer().set_enabled(true);
   if (!options.profile_path.empty()) {
     // The sampler snapshots this thread's scope stack while the diagnosis
-    // runs; diagnosis *output* is unchanged (the profiler only observes).
-    obs::ScopeProfiler::instance().start_sampler(std::chrono::milliseconds(2));
+    // runs; diagnosis *output* is unchanged (the recorder only observes).
+    obs::Recorder::instance().start_sampler(std::chrono::milliseconds(2));
   }
   ReplayOptions replay_options;
   replay_options.engine_config.metrics = &obs::default_registry();
@@ -254,7 +254,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   const service::DiagnoseOutcome outcome =
       service::diagnose_problem(*problem, spec, replay_options);
   if (!options.profile_path.empty()) {
-    obs::ScopeProfiler::instance().stop_sampler();
+    obs::Recorder::instance().stop_sampler();
   }
 
   out << outcome.pre;
@@ -295,8 +295,8 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       err << "cannot write " << options.profile_path << "\n";
       return 2;
     }
-    profile << obs::ScopeProfiler::instance().collapsed();
-    out << "wrote profile (" << obs::ScopeProfiler::instance().samples()
+    profile << obs::Recorder::instance().collapsed();
+    out << "wrote profile (" << obs::Recorder::instance().samples()
         << " samples) to " << options.profile_path << "\n";
   }
   if (options.stats) out << obs::default_registry().to_text();

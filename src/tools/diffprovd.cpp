@@ -13,9 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/flightrec.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "service/daemon.h"
 #include "service/service.h"
 
@@ -26,12 +25,11 @@ constexpr const char* kUsage =
     "                 [--workers N] [--queue-cap N] [--max-warm N]\n"
     "                 [--warm-bytes N] [--cache-cap N] [--cache-stripes N]\n"
     "                 [--config-epoch N] [--metrics-out FILE]\n"
-    "                 [--trace-out FILE] [--no-flightrec]\n"
-    "                 [--worker-deadline-ms N]\n"
+    "                 [--trace-out FILE] [--worker-deadline-ms N]\n"
     "                 [--ingest-epoch N] [--ingest-checkpoint-every N]\n"
     "                 [--ingest-compact N] [--ingest-retain N]\n"
     "                 [--slow-ms N] [--slow-factor K] [--slow-cap N]\n"
-    "                 [--no-profiler] [--profile-interval-ms N]\n"
+    "                 [--profile-interval-ms N]\n"
     "\n"
     "serves diagnosis queries over newline-delimited JSON on\n"
     "127.0.0.1:PORT (default: an ephemeral port, written to --port-file\n"
@@ -54,9 +52,9 @@ constexpr const char* kUsage =
     "\n"
     "the same port answers HTTP GETs: /metrics (Prometheus text, with\n"
     "dp.*_p50/_p95/_p99/_p999 quantile-sketch series), /healthz, /tracez\n"
-    "(flight-recorder dump), /profilez (scope-profiler collapsed stacks,\n"
-    "flamegraph-ready), /slowz (slow-query journal). the flight recorder\n"
-    "is on by default (--no-flightrec disables); a worker busy longer than\n"
+    "(flight-recorder ring dump), /profilez (sampled collapsed stacks,\n"
+    "flamegraph-ready), /slowz (slow-query journal). the recorder behind\n"
+    "/tracez and /profilez is always on; a worker busy longer than\n"
     "--worker-deadline-ms (default 10000, 0 = off) is flagged in\n"
     "dp.service.worker.stuck and triggers flight-recorder + slowz dumps.\n"
     "\n"
@@ -65,8 +63,8 @@ constexpr const char* kUsage =
     "explain profile, trace id, flight-recorder snapshot, and profiler\n"
     "slice (--slow-ms default 1000; 0 = purely adaptive, captures the\n"
     "first query; negative disables; --slow-cap entries kept per shard,\n"
-    "default 32). the scope profiler samples every --profile-interval-ms\n"
-    "(default 10) unless --no-profiler.\n";
+    "default 32). the recorder samples scope stacks every\n"
+    "--profile-interval-ms (default 10).\n";
 
 dp::service::Daemon* g_daemon = nullptr;
 
@@ -82,8 +80,6 @@ int main(int argc, char** argv) {
   std::string port_file;
   std::string metrics_path;
   std::string trace_path;
-  bool flightrec = true;
-  bool profiler = true;
   long long profile_interval_ms = 10;
   dp::service::ServiceConfig config;
 
@@ -153,10 +149,6 @@ int main(int argc, char** argv) {
         auto v = next("an epoch count");
         if (!v) return 2;
         config.ingest.retain_epochs = std::stoul(*v);
-      } else if (arg == "--no-flightrec") {
-        flightrec = false;
-      } else if (arg == "--no-profiler") {
-        profiler = false;
       } else if (arg == "--profile-interval-ms") {
         auto v = next("milliseconds");
         if (!v) return 2;
@@ -199,20 +191,12 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) dp::obs::default_tracer().set_enabled(true);
-  if (flightrec) {
-    // Always-on in the daemon: the ring keeps the last moments of every
-    // thread for /tracez, the flightrec op, and panic/watchdog dumps.
-    dp::obs::FlightRecorder::instance().set_enabled(true);
-    dp::obs::FlightRecorder::install_log_hook();
-  }
-  if (profiler) {
-    // Always-on continuous profiling: /profilez serves the accumulated
-    // collapsed stacks; slow-query capture attaches per-thread slices.
-    dp::obs::ScopeProfiler::instance().start_sampler(
-        std::chrono::milliseconds(profile_interval_ms < 1
-                                      ? 1
-                                      : profile_interval_ms));
-  }
+  // Always on in the daemon: each thread's ring keeps its last moments for
+  // /tracez, the flightrec op and panic/watchdog dumps; the sampler folds
+  // the scope stacks into /profilez and the per-query /slowz slices.
+  dp::obs::Recorder::install_log_hook();
+  dp::obs::Recorder::instance().start_sampler(
+      std::chrono::milliseconds(profile_interval_ms));
 
   try {
     dp::service::DiagnosisService service(config);
@@ -237,7 +221,7 @@ int main(int argc, char** argv) {
     daemon.serve();
     service.shutdown(/*drain=*/true);
     g_daemon = nullptr;
-    dp::obs::ScopeProfiler::instance().stop_sampler();
+    dp::obs::Recorder::instance().stop_sampler();
 
     std::cout << service.stats().to_text();
     if (!metrics_path.empty()) {

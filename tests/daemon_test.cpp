@@ -16,10 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "obs/flightrec.h"
 #include "obs/json_check.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "service/daemon.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -417,7 +416,7 @@ TEST(Protocol, TraceIdRoundTripsOntoEverySpanAndIntoTheProfile) {
 }
 
 TEST(Protocol, FlightrecOpReturnsTheRingDump) {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  obs::Recorder& recorder = obs::Recorder::instance();
   recorder.clear();
   recorder.set_enabled(true);
   recorder.record_span("dp.test.marker", 0x77, 3);
@@ -491,7 +490,7 @@ TEST(Daemon, MetricsEndpointServesValidPrometheusText) {
 
 TEST(Daemon, HealthzAndTracezAnswerAndUnknownPathsGet404) {
   DaemonFixture fixture;
-  obs::FlightRecorder::instance().set_enabled(true);
+  obs::Recorder::instance().set_enabled(true);
 
   const std::string health = http_get(fixture.daemon.port(), "/healthz");
   EXPECT_EQ(health.rfind("HTTP/1.1 200 OK", 0), 0u);
@@ -499,8 +498,8 @@ TEST(Daemon, HealthzAndTracezAnswerAndUnknownPathsGet404) {
 
   const std::string tracez =
       http_get(fixture.daemon.port(), "/tracez?since=0");
-  obs::FlightRecorder::instance().set_enabled(false);
-  obs::FlightRecorder::instance().clear();
+  obs::Recorder::instance().set_enabled(false);
+  obs::Recorder::instance().clear();
   EXPECT_EQ(tracez.rfind("HTTP/1.1 200 OK", 0), 0u);
   EXPECT_NE(tracez.find("Content-Type: application/json"), std::string::npos);
   std::string error;
@@ -520,8 +519,8 @@ TEST(Daemon, HealthzAndTracezAnswerAndUnknownPathsGet404) {
 // ------------------------------------------------- slow-query capture --
 
 TEST(Daemon, SlowQueryCaptureCarriesTraceProfileAndProfilerSlice) {
-  obs::ScopeProfiler::instance().clear();
-  obs::ScopeProfiler::instance().start_sampler(std::chrono::milliseconds(2));
+  obs::Recorder::instance().clear();
+  obs::Recorder::instance().start_sampler(std::chrono::milliseconds(2));
 
   obs::MetricsRegistry registry;
   ServiceConfig config;
@@ -593,9 +592,9 @@ TEST(Daemon, SlowQueryCaptureCarriesTraceProfileAndProfilerSlice) {
   daemon.stop();
   server.join();
   service.shutdown();
-  obs::ScopeProfiler::instance().stop_sampler();
-  obs::ScopeProfiler::instance().set_enabled(false);
-  obs::ScopeProfiler::instance().clear();
+  obs::Recorder::instance().stop_sampler();
+  obs::Recorder::instance().set_enabled(false);
+  obs::Recorder::instance().clear();
 }
 
 TEST(Daemon, NegativeSlowFloorDisablesCapture) {

@@ -18,10 +18,9 @@
 
 #include "diffprov/diffprov.h"
 #include "ndlog/parser.h"
-#include "obs/flightrec.h"
 #include "obs/json_check.h"
 #include "obs/obs.h"
-#include "obs/profiler.h"
+#include "obs/recorder.h"
 #include "obs/sketch.h"
 #include "util/logging.h"
 #include "provenance/vertex.h"
@@ -59,35 +58,58 @@ TEST(Metrics, CounterAndGaugeBasics) {
   EXPECT_EQ(registry.size(), 2u);  // instruments survive a reset
 }
 
-TEST(Metrics, HistogramBucketBoundariesAreInclusiveUpperBounds) {
-  obs::Histogram h({1.0, 10.0, 100.0});
-  h.observe(0.5);    // <= 1
-  h.observe(1.0);    // le semantics: lands in the 1.0 bucket
-  h.observe(1.5);    // <= 10
-  h.observe(10.0);   // in the 10.0 bucket
-  h.observe(100.0);  // in the 100.0 bucket
-  h.observe(100.5);  // overflow -> +Inf
-  const std::vector<std::uint64_t> buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 2u);
-  EXPECT_EQ(buckets[2], 1u);
-  EXPECT_EQ(buckets[3], 1u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 10.0 + 100.0 + 100.5);
+/// The value of the first sample line starting with `series ` in a
+/// Prometheus scrape (-1 when absent).
+double prom_value(const std::string& text, const std::string& series) {
+  const std::string key = "\n" + series + " ";
+  const std::size_t at = ("\n" + text).find(key);
+  if (at == std::string::npos) return -1;
+  return std::stod(text.substr(at + key.size() - 1));
+}
 
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  for (std::uint64_t b : h.bucket_counts()) EXPECT_EQ(b, 0u);
+TEST(Metrics, HistogramBucketBoundariesAreInclusiveUpperBounds) {
+  // A sketch exports a histogram family whose `le` buckets are inclusive
+  // upper bounds: a value equal to a bound counts in that bucket.
+  obs::MetricsRegistry registry;
+  obs::QuantileSketch& sketch = registry.sketch("dp.test.lat_us");
+  for (const double v : {0.5, 1.0, 1.5, 10.0, 100.0, 100.5}) sketch.observe(v);
+  const std::string text = registry.to_prometheus();
+  EXPECT_EQ(prom_value(text, "dp_test_lat_us_bucket{le=\"1\"}"), 2) << text;
+  EXPECT_EQ(prom_value(text, "dp_test_lat_us_bucket{le=\"10\"}"), 4);
+  EXPECT_EQ(prom_value(text, "dp_test_lat_us_bucket{le=\"100\"}"), 5);
+  EXPECT_EQ(prom_value(text, "dp_test_lat_us_bucket{le=\"+Inf\"}"), 6);
+  EXPECT_EQ(prom_value(text, "dp_test_lat_us_count"), 6);
+  // The sum is exact, not rebuilt from bucket midpoints.
+  EXPECT_DOUBLE_EQ(sketch.sum(), 0.5 + 1.0 + 1.5 + 10.0 + 100.0 + 100.5);
+  EXPECT_EQ(prom_value(text, "dp_test_lat_us_sum"), 213.5);
+
+  // Bounds up to 2 ms sit on sketch bucket edges and are exact; the larger
+  // ones sit inside a bucket and count values up to 1.6% above them.
+  const std::vector<double>& bounds = obs::latency_us_bounds();
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    obs::QuantileSketch probe;
+    probe.observe(bounds[i]);
+    probe.observe(bounds[i] * 1.016);
+    if (bounds[i] <= 2000) probe.observe(std::nextafter(bounds[i], 1e9));
+    EXPECT_EQ(probe.snapshot().le_counts[i], 1u) << "le=" << bounds[i];
+  }
+
+  registry.reset();
+  EXPECT_EQ(sketch.count(), 0u);
+  EXPECT_EQ(sketch.sum(), 0.0);
+  EXPECT_EQ(prom_value(registry.to_prometheus(),
+                       "dp_test_lat_us_bucket{le=\"+Inf\"}"),
+            0);
 }
 
 TEST(Metrics, PrometheusDumpHasHistogramSeries) {
   obs::MetricsRegistry registry;
   registry.counter("dp.test.total").inc(3);
-  registry.histogram("dp.test.lat_us", {1.0, 10.0}).observe(5.0);
+  registry.sketch("dp.test.lat_us").observe(5.0);
   const std::string text = registry.to_prometheus();
-  // Dots become underscores; histograms expose cumulative le buckets.
+  // Dots become underscores; sketches expose cumulative le buckets.
   EXPECT_NE(text.find("dp_test_total 3"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE dp_test_lat_us histogram\n"), std::string::npos);
   EXPECT_NE(text.find("dp_test_lat_us_bucket{le=\"10\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("dp_test_lat_us_bucket{le=\"+Inf\"} 1"),
@@ -99,12 +121,13 @@ TEST(Metrics, JsonDumpParsesBack) {
   obs::MetricsRegistry registry;
   registry.counter("dp.test.a").inc();
   registry.gauge("dp.test.b").set(-4);
-  registry.histogram("dp.test.c", {2.0}).observe(1.0);
+  registry.sketch("dp.test.c").observe(1.0);
   const std::string json = registry.to_json();
   EXPECT_EQ(obs::json_error(json), std::nullopt) << json;
   const obs::MetricsCheck check = obs::check_metrics_json(json);
   ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.series, 3u);
+  // The sketch appears in both the "histograms" and "sketches" sections.
+  EXPECT_EQ(check.series, 4u);
   EXPECT_TRUE(check.names.count("dp.test.a"));
   EXPECT_TRUE(check.names.count("dp.test.b"));
   EXPECT_TRUE(check.names.count("dp.test.c"));
@@ -284,10 +307,10 @@ TEST(Trace, ChromeJsonCarriesTraceContextArgs) {
   EXPECT_NE(json.find("\"parent_span_id\""), std::string::npos);
 }
 
-// -------------------------------------------------- flight recorder --
+// ------------------------------------------------ recorder: the ring --
 
 TEST(FlightRec, RecordsSpansAndLogsWithTruncation) {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  obs::Recorder& recorder = obs::Recorder::instance();
   recorder.clear();
   recorder.set_enabled(false);
   recorder.record_span("dropped", 0, 0);
@@ -300,23 +323,24 @@ TEST(FlightRec, RecordsSpansAndLogsWithTruncation) {
   recorder.record_span(long_name, 0, 1);
   recorder.set_enabled(false);
 
-  const std::vector<obs::FlightEvent> events = recorder.snapshot();
+  const std::vector<obs::Recorder::Event> events = recorder.snapshot();
   ASSERT_EQ(events.size(), 3u);
   bool saw_span = false, saw_log = false, saw_truncated = false;
-  for (const obs::FlightEvent& event : events) {
+  for (const obs::Recorder::Event& event : events) {
     if (std::string(event.name) == "short") {
       saw_span = true;
-      EXPECT_EQ(event.kind, obs::FlightEvent::Kind::kSpan);
+      EXPECT_EQ(event.kind, obs::Recorder::Event::Kind::kSpan);
       EXPECT_EQ(event.trace_id, 0xabcu);
       EXPECT_EQ(event.duration_us, 7u);
     } else if (std::string(event.name) == "a warning line") {
       saw_log = true;
-      EXPECT_EQ(event.kind, obs::FlightEvent::Kind::kLog);
+      EXPECT_EQ(event.kind, obs::Recorder::Event::Kind::kLog);
       EXPECT_EQ(event.level, 2u);
     } else {
       saw_truncated = true;
-      EXPECT_EQ(std::string(event.name).size(), obs::kFlightNameCap);
-      EXPECT_EQ(std::string(event.name), long_name.substr(0, obs::kFlightNameCap));
+      EXPECT_EQ(std::string(event.name).size(), obs::Recorder::kNameCap);
+      EXPECT_EQ(std::string(event.name),
+                long_name.substr(0, obs::Recorder::kNameCap));
     }
   }
   EXPECT_TRUE(saw_span);
@@ -328,29 +352,29 @@ TEST(FlightRec, RecordsSpansAndLogsWithTruncation) {
 }
 
 TEST(FlightRec, RingKeepsOnlyTheLastNEventsPerThread) {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  obs::Recorder& recorder = obs::Recorder::instance();
   recorder.clear();
   recorder.set_enabled(true);
-  const std::size_t total = obs::kFlightRingSize + 50;
+  const std::size_t total = obs::Recorder::kRingSize + 50;
   for (std::size_t i = 0; i < total; ++i) {
     recorder.record_span("evt" + std::to_string(i), 0, i);
   }
   recorder.set_enabled(false);
-  const std::vector<obs::FlightEvent> events = recorder.snapshot();
-  EXPECT_EQ(events.size(), obs::kFlightRingSize);
-  // The survivors are the *latest* kFlightRingSize events.
+  const std::vector<obs::Recorder::Event> events = recorder.snapshot();
+  EXPECT_EQ(events.size(), obs::Recorder::kRingSize);
+  // The survivors are the *latest* kRingSize events.
   std::set<std::string> names;
-  for (const obs::FlightEvent& event : events) names.insert(event.name);
+  for (const obs::Recorder::Event& event : events) names.insert(event.name);
   EXPECT_TRUE(names.count("evt" + std::to_string(total - 1)));
   EXPECT_FALSE(names.count("evt0"));
   recorder.clear();
 }
 
 TEST(FlightRec, JsonDumpParsesBackAndLogHookCaptures) {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  obs::Recorder& recorder = obs::Recorder::instance();
   recorder.clear();
   recorder.set_enabled(true);
-  obs::FlightRecorder::install_log_hook();
+  obs::Recorder::install_log_hook();
   const LogLevel saved = log_level();
   set_log_level(LogLevel::kWarn);
   DP_WARN << "hooked " << 123;
@@ -365,10 +389,10 @@ TEST(FlightRec, JsonDumpParsesBackAndLogHookCaptures) {
   EXPECT_NE(json.find("\"ring_size\""), std::string::npos);
 
   bool saw_hooked = false;
-  for (const obs::FlightEvent& event : recorder.snapshot()) {
+  for (const obs::Recorder::Event& event : recorder.snapshot()) {
     if (std::string(event.name) == "hooked 123") {
       saw_hooked = true;
-      EXPECT_EQ(event.kind, obs::FlightEvent::Kind::kLog);
+      EXPECT_EQ(event.kind, obs::Recorder::Event::Kind::kLog);
     }
   }
   EXPECT_TRUE(saw_hooked) << "DP_WARN line must reach the recorder via the "
@@ -380,7 +404,7 @@ TEST(FlightRec, ConcurrentWritersAndSnapshottersAreSafe) {
   // The TSan target: writer threads hammer the ring while a reader thread
   // snapshots and serializes continuously. Every event a snapshot returns
   // must be internally consistent (never a half-written slot).
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  obs::Recorder& recorder = obs::Recorder::instance();
   recorder.clear();
   recorder.set_enabled(true);
 
@@ -391,11 +415,11 @@ TEST(FlightRec, ConcurrentWritersAndSnapshottersAreSafe) {
 
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      for (const obs::FlightEvent& event : recorder.snapshot()) {
+      for (const obs::Recorder::Event& event : recorder.snapshot()) {
         const std::string name(event.name);
         // Writer i records "w<i>" spans with trace_id 100+i and logs
         // "log<i>"; anything else is a torn slot.
-        if (event.kind == obs::FlightEvent::Kind::kSpan) {
+        if (event.kind == obs::Recorder::Event::Kind::kSpan) {
           if (name.size() != 2 || name[0] != 'w' ||
               event.trace_id != 100u + (name[1] - '0')) {
             ++inconsistent;
@@ -417,9 +441,9 @@ TEST(FlightRec, ConcurrentWritersAndSnapshottersAreSafe) {
         recorder.record_span(span_name, 100 + w, i);
         if (i % 8 == 0) recorder.record_log(1, log_name);
       }
-      // Stay alive (ring lease held) until every writer has recorded, so
-      // the four threads provably used four distinct rings -- otherwise a
-      // fast writer's returned ring gets reused and overwritten.
+      // Stay alive (record lease held) until every writer has recorded, so
+      // the four threads provably used four distinct records -- otherwise a
+      // fast writer's returned record gets reused and overwritten.
       ++writers_done;
       while (writers_done.load() < kWriters) std::this_thread::yield();
     });
@@ -430,9 +454,9 @@ TEST(FlightRec, ConcurrentWritersAndSnapshottersAreSafe) {
   recorder.set_enabled(false);
 
   EXPECT_EQ(inconsistent.load(), 0);
-  // Rings were leased per writer thread: the final snapshot holds the last
-  // kFlightRingSize events of each, still visible after the threads exited.
-  EXPECT_EQ(recorder.snapshot().size(), kWriters * obs::kFlightRingSize);
+  // Records were leased per writer thread: the final snapshot holds the last
+  // kRingSize events of each, still visible after the threads exited.
+  EXPECT_EQ(recorder.snapshot().size(), kWriters * obs::Recorder::kRingSize);
   recorder.clear();
 }
 
@@ -442,13 +466,15 @@ TEST(Metrics, PrometheusCheckerAcceptsRegistryOutput) {
   obs::MetricsRegistry registry;
   registry.counter("dp.test.total").inc(3);
   registry.gauge("dp.test.depth").set(-2);
-  registry.histogram("dp.test.lat_us", obs::latency_us_bounds()).observe(5.0);
-  registry.histogram("dp.test.lat_us", obs::latency_us_bounds()).observe(2e7);
+  registry.sketch("dp.test.lat_us").observe(5.0);
+  registry.sketch("dp.test.lat_us").observe(2e7);
 
   const obs::PrometheusCheck check =
       obs::check_prometheus_text(registry.to_prometheus());
   ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.series, 3u) << "a histogram counts as one series";
+  // The histogram family counts as one series; the sketch's five quantile
+  // gauges and _sketch_count as six more.
+  EXPECT_EQ(check.series, 9u);
   EXPECT_TRUE(check.names.count("dp_test_total"));
   EXPECT_TRUE(check.names.count("dp_test_depth"));
   EXPECT_TRUE(check.names.count("dp_test_lat_us"));
@@ -633,7 +659,7 @@ TEST(Obs, EngineRecordsRuleSpansWhenTracingIsEnabled) {
   EXPECT_GT(rule_spans, 0u);
   EXPECT_TRUE(saw_run_span);
   // Latency samples ride along with the spans.
-  EXPECT_GT(run.engine->metrics().histogram("dp.runtime.rule_fire_us").count(),
+  EXPECT_GT(run.engine->metrics().sketch("dp.runtime.rule_fire_us").count(),
             0u);
 }
 
@@ -677,49 +703,6 @@ TEST(Sketch, RandomizedRelativeErrorVersusExactQuantiles) {
   EXPECT_EQ(sketch.quantile(0.5), 0.0);
 }
 
-TEST(Sketch, MergeIsAssociativeAndMatchesDirectObservation) {
-  auto fill = [](obs::QuantileSketch& s, std::uint64_t seed, double scale) {
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> dist(1.0, 1000.0);
-    for (int i = 0; i < 5000; ++i) s.observe(dist(rng) * scale);
-  };
-  obs::QuantileSketch a, b, c, all;
-  fill(a, 1, 1.0);
-  fill(b, 2, 10.0);
-  fill(c, 3, 0.1);
-  fill(all, 1, 1.0);
-  fill(all, 2, 10.0);
-  fill(all, 3, 0.1);
-
-  obs::QuantileSketch left;  // (a + b) + c
-  left.merge(a);
-  left.merge(b);
-  left.merge(c);
-  obs::QuantileSketch bc;
-  bc.merge(b);
-  bc.merge(c);
-  obs::QuantileSketch right;  // a + (b + c)
-  right.merge(a);
-  right.merge(bc);
-
-  // Bucket counts are additive integers, so both groupings -- and direct
-  // observation of the union -- agree bit for bit on every statistic.
-  const obs::QuantileSketch::Snapshot l = left.snapshot();
-  const obs::QuantileSketch::Snapshot r = right.snapshot();
-  const obs::QuantileSketch::Snapshot d = all.snapshot();
-  EXPECT_EQ(l.count, r.count);
-  EXPECT_EQ(l.count, d.count);
-  EXPECT_DOUBLE_EQ(l.min, r.min);
-  EXPECT_DOUBLE_EQ(l.max, r.max);
-  for (const auto& [lq, rq, dq] :
-       {std::tuple{l.p50, r.p50, d.p50}, std::tuple{l.p95, r.p95, d.p95},
-        std::tuple{l.p99, r.p99, d.p99},
-        std::tuple{l.p999, r.p999, d.p999}}) {
-    EXPECT_DOUBLE_EQ(lq, rq);
-    EXPECT_DOUBLE_EQ(lq, dq);
-  }
-}
-
 TEST(Sketch, EightThreadConcurrentObserveLosesNothing) {
   obs::QuantileSketch sketch;
   constexpr int kThreads = 8;
@@ -745,17 +728,13 @@ TEST(Sketch, EightThreadConcurrentObserveLosesNothing) {
 
 TEST(Sketch, RegistryExportsPassBothCheckers) {
   obs::MetricsRegistry registry;
-  obs::Histogram& hist =
-      registry.histogram("dp.test.lat_us", obs::latency_us_bounds());
   obs::QuantileSketch& sketch = registry.sketch("dp.test.lat_us");
-  for (const double v : {3.0, 70.0, 900.0, 12000.0}) {
-    hist.observe(v);
-    sketch.observe(v);
-  }
+  for (const double v : {3.0, 70.0, 900.0, 12000.0}) sketch.observe(v);
 
   const obs::PrometheusCheck prom =
       obs::check_prometheus_text(registry.to_prometheus());
   ASSERT_TRUE(prom.ok) << prom.error;
+  EXPECT_TRUE(prom.names.count("dp_test_lat_us"));  // the histogram family
   EXPECT_TRUE(prom.names.count("dp_test_lat_us_p50"));
   EXPECT_TRUE(prom.names.count("dp_test_lat_us_p999"));
   EXPECT_TRUE(prom.names.count("dp_test_lat_us_sketch_count"));
@@ -763,8 +742,39 @@ TEST(Sketch, RegistryExportsPassBothCheckers) {
   const obs::MetricsCheck json = obs::check_metrics_json(registry.to_json());
   ASSERT_TRUE(json.ok) << json.error;
 
+  // One --stats row per series, carrying both the sum and the quantiles.
   const std::string text = registry.to_text();
-  EXPECT_NE(text.find("(sketch)"), std::string::npos) << text;
+  EXPECT_NE(text.find("count=4 sum=12973.0"), std::string::npos) << text;
+  EXPECT_NE(text.find("p99="), std::string::npos) << text;
+  EXPECT_EQ(text.find("dp.test.lat_us"), text.rfind("dp.test.lat_us")) << text;
+}
+
+TEST(Sketch, ScrapesRacingObserversAgreeOnTheCount) {
+  // The TSan target for the export path: four threads observe while this
+  // thread scrapes. Every scrape renders a sketch from one snapshot, so its
+  // +Inf bucket, _count and _sketch_count are exactly one number.
+  obs::MetricsRegistry registry;
+  obs::QuantileSketch& sketch = registry.sketch("dp.test.race_us");
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> observers;
+  for (int t = 0; t < 4; ++t) {
+    observers.emplace_back([&sketch, &stop, t] {
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        sketch.observe(static_cast<double>((t * 997 + i) % 5000) + 0.5);
+      }
+    });
+  }
+  for (int scrape = 0; scrape < 200; ++scrape) {
+    const std::string text = registry.to_prometheus();
+    const obs::PrometheusCheck check = obs::check_prometheus_text(text);
+    ASSERT_TRUE(check.ok) << check.error;
+    const double inf = prom_value(text, "dp_test_race_us_bucket{le=\"+Inf\"}");
+    EXPECT_EQ(inf, prom_value(text, "dp_test_race_us_count"));
+    EXPECT_EQ(inf, prom_value(text, "dp_test_race_us_sketch_count"));
+  }
+  stop.store(true);
+  for (std::thread& t : observers) t.join();
+  EXPECT_GT(sketch.count(), 0u);
 }
 
 TEST(Sketch, PrometheusCheckerValidatesQuantileSeries) {
@@ -809,8 +819,8 @@ TEST(Sketch, PrometheusCheckerValidatesQuantileSeries) {
                    "# TYPE s_sketch_count counter\ns_sketch_count 10\n")
                    .ok);
 
-  // Sketch and paired histogram disagreeing on the sample count (beyond the
-  // lock-free scrape-skew allowance) is flagged.
+  // Sketch and histogram family disagreeing on the sample count is flagged:
+  // both render from one snapshot, so any difference is a broken export.
   const obs::PrometheusCheck diverged = obs::check_prometheus_text(
       "# TYPE s histogram\n"
       "s_bucket{le=\"+Inf\"} 100\ns_sum 500\ns_count 100\n"
@@ -823,6 +833,17 @@ TEST(Sketch, PrometheusCheckerValidatesQuantileSeries) {
   EXPECT_FALSE(diverged.ok);
   EXPECT_NE(diverged.error.find("diverges"), std::string::npos)
       << diverged.error;
+  EXPECT_FALSE(obs::check_prometheus_text(
+                   "# TYPE s histogram\n"
+                   "s_bucket{le=\"+Inf\"} 11\ns_sum 50\ns_count 11\n"
+                   "# TYPE s_p50 gauge\ns_p50 1\n"
+                   "# TYPE s_p95 gauge\ns_p95 2\n"
+                   "# TYPE s_p99 gauge\ns_p99 3\n"
+                   "# TYPE s_p999 gauge\ns_p999 4\n"
+                   "# TYPE s_max gauge\ns_max 5\n"
+                   "# TYPE s_sketch_count counter\ns_sketch_count 10\n")
+                   .ok)
+      << "an off-by-one count must not pass";
 }
 
 TEST(Sketch, JsonCheckerValidatesSketchSection) {
@@ -836,61 +857,62 @@ TEST(Sketch, JsonCheckerValidatesSketchSection) {
   EXPECT_NE(check.error.find("monotone"), std::string::npos) << check.error;
 }
 
-// ------------------------------------------------------ scope profiler --
+// ------------------------------- recorder: the scope stack and sampler --
 
 TEST(Profiler, ScopeStackFoldsIntoWeightedCollapsedStacks) {
-  obs::ScopeProfiler& profiler = obs::ScopeProfiler::instance();
-  profiler.stop_sampler();
-  profiler.clear();
-  profiler.set_enabled(true);
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.stop_sampler();
+  recorder.clear();
+  recorder.set_enabled(true);
+  {
+    obs::Span alpha(obs::default_tracer(), "alpha");
+    {
+      obs::Span beta(obs::default_tracer(), "beta");
+      recorder.sample_once();
+    }
+    recorder.sample_once();
+  }
+  recorder.set_enabled(false);
 
-  void* stack = obs::profiler_push_scope("alpha");
-  obs::profiler_push_scope("beta");
-  profiler.sample_once();
-  obs::profiler_pop_scope(stack);
-  profiler.sample_once();
-  obs::profiler_pop_scope(stack);
-  profiler.set_enabled(false);
-
-  const std::string collapsed = profiler.collapsed();
+  const std::string collapsed = recorder.collapsed();
   EXPECT_NE(collapsed.find("alpha;beta 1\n"), std::string::npos) << collapsed;
   EXPECT_NE(collapsed.find("alpha 1\n"), std::string::npos) << collapsed;
-  EXPECT_GE(profiler.samples(), 2u);
-  profiler.clear();
+  EXPECT_GE(recorder.samples(), 2u);
+  recorder.clear();
 }
 
 TEST(Profiler, SpansMirrorOntoTheScopeStackWhileEnabled) {
-  obs::ScopeProfiler& profiler = obs::ScopeProfiler::instance();
-  profiler.stop_sampler();
-  profiler.clear();
-  profiler.set_enabled(true);
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.stop_sampler();
+  recorder.clear();
+  recorder.set_enabled(true);
   {
     DP_SPAN_CAT("dp.test.outer", "test");
     {
       DP_SPAN_CAT("dp.test.inner", "test");
-      profiler.sample_once();
+      recorder.sample_once();
     }
   }
-  profiler.set_enabled(false);
-  const std::string collapsed = profiler.collapsed();
+  recorder.set_enabled(false);
+  const std::string collapsed = recorder.collapsed();
   EXPECT_NE(collapsed.find("dp.test.outer;dp.test.inner 1\n"),
             std::string::npos)
       << collapsed;
-  profiler.clear();
+  recorder.clear();
 
   // Disabled: spans leave no trace on the scope stack.
   {
     DP_SPAN_CAT("dp.test.ghost", "test");
-    profiler.sample_once();
+    recorder.sample_once();
   }
-  EXPECT_EQ(profiler.collapsed().find("dp.test.ghost"), std::string::npos);
-  profiler.clear();
+  EXPECT_EQ(recorder.collapsed().find("dp.test.ghost"), std::string::npos);
+  recorder.clear();
 }
 
 TEST(Profiler, SamplerTicksAcrossConcurrentSpanThreads) {
-  obs::ScopeProfiler& profiler = obs::ScopeProfiler::instance();
-  profiler.clear();
-  profiler.start_sampler(std::chrono::milliseconds(1));
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.clear();
+  recorder.start_sampler(std::chrono::milliseconds(1));
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
@@ -905,34 +927,124 @@ TEST(Profiler, SamplerTicksAcrossConcurrentSpanThreads) {
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   stop.store(true, std::memory_order_relaxed);
   for (auto& worker : workers) worker.join();
-  profiler.stop_sampler();
-  profiler.set_enabled(false);
+  recorder.stop_sampler();
+  recorder.set_enabled(false);
 
-  EXPECT_GT(profiler.samples(), 0u);
-  EXPECT_NE(profiler.collapsed().find("dp.test.worker"), std::string::npos);
-  profiler.clear();
+  EXPECT_GT(recorder.samples(), 0u);
+  EXPECT_NE(recorder.collapsed().find("dp.test.worker"), std::string::npos);
+  recorder.clear();
+}
+
+/// Opens `depth` nested spans and samples the stack at the bottom.
+void sample_at_depth(int depth) {
+  if (depth == 0) {
+    obs::Recorder::instance().sample_once();
+    return;
+  }
+  DP_SPAN_CAT("deep", "test");
+  sample_at_depth(depth - 1);
 }
 
 TEST(Profiler, DeepNestingBeyondTheFrameCapStaysBalanced) {
-  obs::ScopeProfiler& profiler = obs::ScopeProfiler::instance();
-  profiler.stop_sampler();
-  profiler.clear();
-  profiler.set_enabled(true);
-  // Push well past kProfileMaxDepth; overflow frames are counted but not
-  // named, and the matching pops must land the stack back at exactly zero.
-  void* stack = nullptr;
-  for (int d = 0; d < static_cast<int>(obs::kProfileMaxDepth) + 8; ++d) {
-    stack = obs::profiler_push_scope("deep");
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.stop_sampler();
+  recorder.clear();
+  recorder.set_enabled(true);
+  // Nest well past kMaxDepth; overflow frames are counted but not named,
+  // and the matching closes must land the stack back at exactly zero.
+  constexpr int kDepth = static_cast<int>(obs::Recorder::kMaxDepth) + 8;
+  sample_at_depth(kDepth);
+  recorder.sample_once();  // depth back to zero: nothing new folds in
+  recorder.set_enabled(false);
+  EXPECT_EQ(recorder.samples(), 1u) << recorder.collapsed();
+  std::string capped = "deep";
+  for (std::size_t d = 1; d < obs::Recorder::kMaxDepth; ++d) capped += ";deep";
+  EXPECT_EQ(recorder.collapsed(), capped + " 1\n");
+  // Every span, overflow frames included, still reached the ring.
+  EXPECT_EQ(recorder.snapshot().size(), static_cast<std::size_t>(kDepth));
+  recorder.clear();
+}
+
+TEST(Recorder, ExitedThreadsRecordIsReusedWithAnEmptyStackAndItsRing) {
+  // Thread-exit returns the record to the pool; the next thread to open a
+  // span leases the same one. The dead thread's ring events stay visible,
+  // but its frames -- including a span it never closed -- must not leak
+  // into the heir's stack.
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.clear();
+  recorder.start_sampler(std::chrono::milliseconds(1));
+
+  const obs::recorder_detail::ThreadRecord* first = nullptr;
+  alignas(obs::Span) unsigned char unclosed[sizeof(obs::Span)];
+  std::thread([&first, &unclosed] {
+    // Never destroyed: the thread exits with this span still open.
+    new (unclosed) obs::Span(obs::default_tracer(), "dp.test.unclosed");
+    DP_SPAN_CAT("dp.test.departed", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    first = obs::recorder_detail::t_record;
+  }).join();
+  ASSERT_NE(first, nullptr);
+
+  std::string slice;
+  const obs::recorder_detail::ThreadRecord* second = nullptr;
+  std::uint32_t depth_before = 99;
+  std::thread([&] {
+    DP_SPAN_CAT("dp.test.heir", "test");
+    second = obs::recorder_detail::t_record;
+    depth_before = second->depth.load() - 1;
+    slice = recorder.self_slice(0);
+  }).join();
+  recorder.stop_sampler();
+  recorder.set_enabled(false);
+
+  EXPECT_EQ(second, first) << "the free list hands back the exited record";
+  EXPECT_EQ(depth_before, 0u) << "the exited thread's frames were cleared";
+  EXPECT_EQ(slice.rfind("dp.test.heir ", 0), 0u) << slice;
+  EXPECT_EQ(slice.find("dp.test.unclosed"), std::string::npos) << slice;
+  std::set<std::string> names;
+  for (const obs::Recorder::Event& event : recorder.snapshot()) {
+    names.insert(event.name);
   }
-  profiler.sample_once();
-  for (int d = 0; d < static_cast<int>(obs::kProfileMaxDepth) + 8; ++d) {
-    obs::profiler_pop_scope(stack);
+  EXPECT_TRUE(names.count("dp.test.departed")) << "the dead thread's ring";
+  EXPECT_TRUE(names.count("dp.test.heir"));
+  recorder.clear();
+}
+
+// Captured by a log sink while a rule span is the innermost open frame.
+const char* g_top_frame = nullptr;
+std::uint32_t g_top_frame_len = 0;
+
+void capture_top_frame(LogLevel, const char*, std::size_t) {
+  const obs::recorder_detail::ThreadRecord* r = obs::recorder_detail::t_record;
+  const std::uint32_t depth = r->depth.load();
+  g_top_frame = r->frames[depth - 1].name.load();
+  g_top_frame_len = r->frames[depth - 1].len.load();
+}
+
+TEST(Recorder, RuleSpanLabelsOutliveTheirEngine) {
+  // The sampler loads a frame's name pointer and copies the bytes later,
+  // with nothing tying the copy to the engine that pushed the frame, and
+  // DiffProv builds and destroys an engine per replay. So a rule label must
+  // stay readable after its engine is gone (ASan reports a use-after-free
+  // otherwise). The warning this rule logs mid-firing stands in for a
+  // sampler preempted between its load and its copy.
+  obs::Recorder::instance().set_enabled(true);
+  set_log_sink(&capture_top_frame);
+  {
+    Engine engine(parse_program(R"(
+      table base(2) base mutable keys(0).
+      table out(2) derived.
+      rule misrouted out(@V, N) :- base(@N, V).
+    )"),
+                  {});
+    engine.schedule_insert(Tuple("base", {"n1", 1}), 0);
+    engine.run();
   }
-  profiler.sample_once();  // depth back to zero: nothing new folds in
-  profiler.set_enabled(false);
-  const std::uint64_t after = profiler.samples();
-  EXPECT_EQ(after, 1u) << profiler.collapsed();
-  profiler.clear();
+  set_log_sink(nullptr);
+  obs::Recorder::instance().set_enabled(false);
+  ASSERT_NE(g_top_frame, nullptr) << "the rule never logged mid-firing";
+  EXPECT_EQ(std::string(g_top_frame, g_top_frame_len), "rule:misrouted");
+  obs::Recorder::instance().clear();
 }
 
 // One full SDN1 diagnosis under explicit engine options.
@@ -950,7 +1062,7 @@ std::string diagnose_sdn1_fingerprint_with(const ReplayOptions& options) {
 }
 
 TEST(Profiler, DiagnosisIsByteIdenticalWithProfilerOnAcrossExecVariants) {
-  obs::ScopeProfiler& profiler = obs::ScopeProfiler::instance();
+  obs::Recorder& recorder = obs::Recorder::instance();
   struct Variant {
     const char* name;
     bool plans;
@@ -959,19 +1071,19 @@ TEST(Profiler, DiagnosisIsByteIdenticalWithProfilerOnAcrossExecVariants) {
     ReplayOptions options;
     options.engine_config.use_join_plans = v.plans;
 
-    profiler.stop_sampler();
-    profiler.set_enabled(false);
+    recorder.stop_sampler();
+    recorder.set_enabled(false);
     const std::string off = diagnose_sdn1_fingerprint_with(options);
 
-    profiler.start_sampler(std::chrono::milliseconds(1));
+    recorder.start_sampler(std::chrono::milliseconds(1));
     const std::string on = diagnose_sdn1_fingerprint_with(options);
-    profiler.stop_sampler();
-    profiler.set_enabled(false);
+    recorder.stop_sampler();
+    recorder.set_enabled(false);
 
     EXPECT_EQ(off, on) << "--exec " << v.name;
     EXPECT_NE(off.find("DiffProv: success"), std::string::npos) << v.name;
   }
-  profiler.clear();
+  recorder.clear();
 }
 
 }  // namespace

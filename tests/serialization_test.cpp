@@ -200,7 +200,10 @@ TEST(SerializationHardening, EveryTruncationPointIsRejectedWithAnOffset) {
 
 TEST(SerializationHardening, CorruptOpByteNamesItsOffset) {
   std::string bytes = serialized(small_log());
-  bytes[0] = 7;  // ops are 0 (insert) / 1 (delete)
+  // The record stream closes the file at 13 bytes per record: op(1)
+  // time(8) ref-index(4). Corrupt the first record's op byte.
+  const std::size_t op_offset = bytes.size() - 2 * 13;
+  bytes[op_offset] = 7;  // ops are 0 (insert) / 1 (delete)
   std::istringstream in(bytes);
   try {
     EventLog::deserialize(in);
@@ -209,7 +212,9 @@ TEST(SerializationHardening, CorruptOpByteNamesItsOffset) {
     EXPECT_NE(std::string(e.what()).find("corrupt op byte 7"),
               std::string::npos)
         << e.what();
-    EXPECT_NE(std::string(e.what()).find("byte offset 0"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("byte offset " +
+                                         std::to_string(op_offset)),
+              std::string::npos)
         << e.what();
   }
 }
@@ -292,10 +297,10 @@ TEST(SerializationFormat, RefTableSerializesEachDistinctTupleOnce) {
   EXPECT_EQ(EventLog::deserialize(in).records(), log.records());
 }
 
-TEST(SerializationFormat, LegacyFlatFormatStillDecodes) {
-  // Pre-ref-table logs inlined the tuple payload in every record; the
-  // decoder must keep reading them (no magic, records start with an op
-  // byte). Hand-encode one: op(1) time(8) name-len(4) name arity(2) fields.
+TEST(SerializationFormat, LegacyFlatFormatIsRejected) {
+  // Pre-ref-table logs inlined the tuple payload in every record, with no
+  // magic; the decoder no longer reads them and must say why. Hand-encode
+  // one: op(1) time(8) name-len(4) name arity(2) fields.
   std::string bytes;
   auto put32 = [&bytes](std::uint32_t v) {
     for (int shift = 24; shift >= 0; shift -= 8) {
@@ -317,12 +322,15 @@ TEST(SerializationFormat, LegacyFlatFormatStillDecodes) {
     put64(static_cast<std::uint64_t>(100 + i));
   }
   std::istringstream in(bytes);
-  const EventLog log = EventLog::deserialize(in);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.records()[0].tuple(), Tuple("t", {Value(100)}));
-  EXPECT_EQ(log.records()[1].tuple(), Tuple("t", {Value(101)}));
-  EXPECT_EQ(log.records()[0].time, 7);
-  EXPECT_EQ(log.records()[1].time, 8);
+  try {
+    EventLog::deserialize(in);
+    FAIL() << "flat-format log accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "corrupt format magic at byte offset 0"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SerializationHardening, TextErrorsNameTheLine) {
