@@ -12,10 +12,11 @@
 //                    compare with the measured columnar + store footprint.
 //
 //   exist lookups    the old index was a std::map<Tuple, vector<VertexId>>
-//                    (ordered, deep comparisons); the new path interns the
-//                    probe (hash lookup in the store) and hits a ref-keyed
-//                    unordered_map. Both are timed on the same probe mix of
-//                    hits and misses.
+//                    (ordered, deep comparisons); the new path finds the
+//                    probe's ref with one hash-chain probe in the store and
+//                    walks the tuple's EXIST chain from the graph's head
+//                    array. Both are timed on the same probe mix of hits and
+//                    misses.
 //
 // Writes BENCH_store.json (checked in at the repo root; regenerated by CI).
 // Acceptance: >= 2x byte reduction, lookups no worse than the map baseline
@@ -88,10 +89,11 @@ BaselineCost baseline_cost(const ProvenanceGraph& graph) {
   graph.for_each_tuple(
       [&](const Tuple& tuple, const std::vector<VertexId>& exists) {
         // One red-black-tree node: 3 pointers + color word, a deep Tuple
-        // key, and the vector of vertex ids.
+        // key, and the vector of vertex ids (priced at its size, a lower
+        // bound on what push_back growth would have allocated).
         cost.index_bytes += 4 * sizeof(void*) + tuple_deep_bytes(tuple) +
                             sizeof(std::vector<VertexId>) +
-                            exists.capacity() * sizeof(VertexId);
+                            exists.size() * sizeof(VertexId);
       });
   return cost;
 }
@@ -193,7 +195,7 @@ int main(int argc, char** argv) {
 
   bench::print_row({"exist-index", "ns/lookup"});
   bench::print_row({"std::map baseline", bench::fmt(map_ns, 1)});
-  bench::print_row({"interned (store+hash)", bench::fmt(interned_ns, 1)});
+  bench::print_row({"interned (store+head)", bench::fmt(interned_ns, 1)});
   std::printf("\nlatency ratio: %.2fx of baseline (acceptance: <= 1x)\n",
               ratio);
 

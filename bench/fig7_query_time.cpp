@@ -4,17 +4,14 @@
 //
 // Shapes to check (section 6.6):
 //  * query time is dominated by replay, not by DiffProv's reasoning;
-//  * a DiffProv query costs roughly 2x a Y! query on the SDN scenarios
-//    (both replay once to query the trees; DiffProv replays again to update
-//    the bad tree), and SDN4 costs about twice the other SDN scenarios
-//    (two rounds);
-//  * the MR queries pay an extra replay for the reference job (3 replays).
+//  * a DiffProv query costs roughly 2x a Y! query on the SDN scenarios: one
+//    replay yields both trees (the paper batches its good- and bad-tree
+//    replays), and DiffProv replays once more per round to update the bad
+//    tree, so SDN4 (two rounds) costs about 3x;
+//  * the MR queries also replay the separate reference job.
 //
 // The SDN scenarios replay a synthetic OC-192-style capture alongside the
 // scenario traffic so that replay genuinely dominates, as in the paper.
-#include <future>
-#include <thread>
-
 #include "bench_util.h"
 #include "diffprov/diffprov.h"
 #include "mapred/scenario.h"
@@ -26,13 +23,11 @@ namespace {
 
 struct Row {
   std::string name;
-  double ybang_ms = 0;      // Y! baseline: replay + query the bad tree
-  double diffprov_ms = 0;   // full DiffProv turnaround, sequential replays
-  double batched_ms = 0;    // good+bad tree replays batched in parallel,
-                            // as the paper's figure does
-  double replay_ms = 0;     // replay share of the DiffProv time
-  double reasoning_ms = 0;  // DiffProv reasoning ("Other" in the figure)
-  int replays = 0;
+  double ybang_ms = 0;       // Y! baseline: replay + query the bad tree
+  double diffprov_ms = 0;    // full DiffProv turnaround
+  double update_ms = 0;      // DiffProv's UpdateTree replays
+  double reasoning_ms = 0;   // DiffProv reasoning ("Other" in the figure)
+  int replays = 0;           // every replay in the DiffProv turnaround
 };
 
 Row run_sdn(sdn::Scenario s, std::size_t background_packets) {
@@ -59,38 +54,19 @@ Row run_sdn(sdn::Scenario s, std::size_t background_packets) {
     if (!tree) row.name += " (!)";
   }
 
-  // DiffProv: query the good tree, then diagnose (sequential replays).
+  // DiffProv: one replay yields both trees, and diagnose starts from it.
   {
     bench::WallTimer timer;
-    LogReplayProvider good_provider(s.program, s.topology, s.log);
-    const BadRun good_run = good_provider.replay_bad({});
-    const auto good = locate_tree(*good_run.graph, s.good_event);
     LogReplayProvider provider(s.program, s.topology, s.log);
-    DiffProv diffprov(s.program, provider);
-    const DiffProvResult result = diffprov.diagnose(*good, s.bad_event);
-    row.diffprov_ms = timer.millis();
-    row.replay_ms = result.timing.replay_us / 1e3;
-    row.reasoning_ms = result.timing.reasoning_us() / 1e3;
-    row.replays = result.timing.replays + 1;  // + the good-tree replay
-    if (!result.ok()) row.name += " (failed)";
-  }
-
-  // Batched variant: the paper runs the good- and bad-tree replays in
-  // parallel ("we have batched the first two replays", section 6.6).
-  {
-    bench::WallTimer timer;
-    auto good_future = std::async(std::launch::async, [&s] {
-      LogReplayProvider good_provider(s.program, s.topology, s.log);
-      const BadRun run = good_provider.replay_bad({});
-      return locate_tree(*run.graph, s.good_event);
-    });
-    LogReplayProvider provider(s.program, s.topology, s.log);
-    BadRun bad_run = provider.replay_bad({});
-    const auto good = good_future.get();
+    BadRun run = provider.replay_bad({});
+    const auto good = locate_tree(*run.graph, s.good_event);
     DiffProv diffprov(s.program, provider);
     const DiffProvResult result =
-        diffprov.diagnose(*good, s.bad_event, std::move(bad_run));
-    row.batched_ms = timer.millis();
+        diffprov.diagnose(*good, s.bad_event, std::move(run));
+    row.diffprov_ms = timer.millis();
+    row.update_ms = result.timing.replay_us / 1e3;
+    row.reasoning_ms = result.timing.reasoning_us() / 1e3;
+    row.replays = result.timing.replays + 1;  // + the shared initial replay
     if (!result.ok()) row.name += " (failed)";
   }
   return row;
@@ -118,12 +94,10 @@ Row run_mr(const mapred::Scenario& s) {
     bench::WallTimer timer;
     const mapred::Diagnosis d = mapred::diagnose(s);
     row.diffprov_ms = timer.millis();
-    row.batched_ms = row.diffprov_ms;  // MR reference is a separate job; the
-                                       // paper batches it too, but our
-                                       // harness reports the sequential time
-    row.replay_ms = d.result.timing.replay_us / 1e3;
+    row.update_ms = d.result.timing.replay_us / 1e3;
     row.reasoning_ms = d.result.timing.reasoning_us() / 1e3;
-    row.replays = d.result.timing.replays + 1;  // + the reference job replay
+    // + the reference-job and bad-job replays mapred::diagnose runs first.
+    row.replays = d.result.timing.replays + 2;
     if (!d.result.ok()) row.name += " (failed)";
   }
   return row;
@@ -149,28 +123,24 @@ int main() {
     rows.push_back(run_mr(s));
   }
 
-  bench::print_row({"Query", "Y! (ms)", "DiffProv (ms)", "batched (ms)",
-                    "replay (ms)", "reasoning", "replays", "batched/Y!"});
-  bench::print_row({"-----", "-------", "-------------", "------------",
-                    "-----------", "---------", "-------", "----------"});
+  bench::print_row({"Query", "Y! (ms)", "DiffProv (ms)", "UpdateTree (ms)",
+                    "reasoning", "replays", "DiffProv/Y!"},
+                   10, 16);
+  bench::print_row({"-----", "-------", "-------------", "---------------",
+                    "---------", "-------", "-----------"},
+                   10, 16);
   for (const Row& row : rows) {
     bench::print_row({row.name, bench::fmt(row.ybang_ms),
-                      bench::fmt(row.diffprov_ms),
-                      bench::fmt(row.batched_ms),
-                      bench::fmt(row.replay_ms),
+                      bench::fmt(row.diffprov_ms), bench::fmt(row.update_ms),
                       bench::fmt(row.reasoning_ms, 2) + " ms",
                       std::to_string(row.replays),
-                      bench::fmt(row.batched_ms / row.ybang_ms, 2) + "x"},
-                     10, 14);
+                      bench::fmt(row.diffprov_ms / row.ybang_ms, 2) + "x"},
+                     10, 16);
   }
   std::printf(
-      "\nShape check: replay dominates (reasoning is ms-scale); with the\n"
-      "good/bad replays batched in parallel as in the paper, DiffProv costs\n"
-      "~2x a Y! query (the extra UpdateTree replay); SDN4 pays one more\n"
-      "round; the MR queries replay the separate reference job (3 replays).\n"
-      "NOTE: this host has %u hardware thread(s); the batched column only\n"
-      "beats the sequential one when the two replays can actually run in\n"
-      "parallel.\n",
-      std::thread::hardware_concurrency());
+      "\nShape check: replay dominates (reasoning is ms-scale). One replay\n"
+      "yields both trees, so a one-round DiffProv query costs ~2x a Y!\n"
+      "query (the extra UpdateTree replay); SDN4 pays one more round; the\n"
+      "MR queries also replay the separate reference job.\n");
   return 0;
 }

@@ -28,7 +28,7 @@ int main() {
   std::printf("Diagnosing %s with NO reference given...\n",
               s.bad_event.to_string().c_str());
   const AutoDiagnosis auto_result =
-      diagnose_with_auto_reference(diffprov, *run.graph, s.bad_event);
+      diagnose_with_auto_reference(diffprov, run, s.bad_event);
   if (auto_result.reference) {
     std::printf("  auto-selected reference: %s (tried %zu candidate(s))\n",
                 auto_result.reference->to_string().c_str(),

@@ -26,6 +26,9 @@ class DiagnoseScope {
       : span_(obs::default_tracer(), "dp.diffprov.diagnose", "diffprov"),
         result_(result) {}
   ~DiagnoseScope() {
+    // While the diagnose span is still open: a profile that covers a
+    // diagnosis is never empty, even if no sampler tick landed in it.
+    obs::Recorder::instance().sample_self_if_empty();
     auto& registry = obs::default_registry();
     registry.counter("dp.diffprov.diagnoses").inc();
     if (result_.ok()) registry.counter("dp.diffprov.successes").inc();

@@ -197,9 +197,11 @@ class DiffProv {
   /// captured by `good_tree`. The bad execution is obtained from the replay
   /// provider; `good_tree` typically comes from a separate provenance query
   /// (possibly over a different log, e.g. an earlier MapReduce job).
-  /// `initial_run` optionally supplies an already-replayed bad execution --
-  /// the paper batches the good- and bad-tree replays in parallel (section
-  /// 6.6), and this lets a caller do the same.
+  /// `initial_run` is the already-replayed bad execution the caller located
+  /// its trees in. The CLI/service pipeline, the auto-reference search and
+  /// mapred::diagnose all pass it, so a diagnosis replays only for its
+  /// UpdateTree rounds. Without it, diagnose first replays the bad run with
+  /// an empty Δ.
   DiffProvResult diagnose(const ProvTree& good_tree, const Tuple& bad_event,
                           std::optional<BadRun> initial_run = std::nullopt);
 

@@ -34,10 +34,11 @@ struct AutoDiagnosis {
 };
 
 /// Runs `suggest_references` over the bad execution's own graph and tries
-/// candidates best-first. Returns the first successful diagnosis, or the
-/// last failure if none succeeds.
+/// candidates best-first. Every candidate's diagnosis starts from `bad_run`
+/// instead of replaying the log again. Returns the first successful
+/// diagnosis, or the last failure if none succeeds.
 AutoDiagnosis diagnose_with_auto_reference(DiffProv& diffprov,
-                                           const ProvenanceGraph& bad_graph,
+                                           const BadRun& bad_run,
                                            const Tuple& bad_event,
                                            std::size_t limit = 8);
 

@@ -173,7 +173,8 @@ Diagnosis diagnose(const Scenario& scenario, const DiffProvConfig& config) {
   }
 
   DiffProv diffprov(scenario.model, *bad_provider, config);
-  DiffProvResult result = diffprov.diagnose(*good_tree, scenario.bad_event);
+  DiffProvResult result =
+      diffprov.diagnose(*good_tree, scenario.bad_event, bad_run);
   return Diagnosis{std::move(*good_tree), std::move(*bad_tree),
                    std::move(result)};
 }

@@ -158,6 +158,24 @@ bool read_stack(const ThreadRecord& r, std::string& out, std::uint32_t& tid) {
   return false;
 }
 
+/// The calling thread's own stack, read the same way the sampler reads it.
+bool read_self(std::string& out, std::uint32_t& tid) {
+  return t_record != nullptr && read_stack(*t_record, out, tid);
+}
+
+/// Folds one stack sample into the accumulated profile and the recent ring;
+/// with `only_if_empty`, only while the profile holds no sample yet.
+void fold(const std::string& key, std::uint32_t tid, std::uint64_t now,
+          bool only_if_empty = false) {
+  State& st = state();
+  std::lock_guard lock(st.profile_mutex);
+  if (only_if_empty && st.samples != 0) return;
+  ++st.weights[key];
+  ++st.samples;
+  st.recent.push_back({now, tid, key});
+  if (st.recent.size() > kRecentCap) st.recent.pop_front();
+}
+
 std::string render_collapsed(
     const std::map<std::string, std::uint64_t>& weights) {
   std::vector<std::pair<std::string, std::uint64_t>> rows(weights.begin(),
@@ -384,20 +402,24 @@ std::size_t Recorder::sample_once() {
   // Returned records stay in the list with depth 0; read_stack skips them.
   const std::vector<ThreadRecord*> records = all_records();
   const std::uint64_t now = monotonic_micros();
-  State& st = state();
   std::size_t folded = 0;
   std::string key;
   std::uint32_t tid = 0;
   for (const ThreadRecord* r : records) {
     if (!read_stack(*r, key, tid)) continue;
-    std::lock_guard lock(st.profile_mutex);
-    ++st.weights[key];
-    ++st.samples;
-    st.recent.push_back({now, tid, key});
-    if (st.recent.size() > kRecentCap) st.recent.pop_front();
+    fold(key, tid, now);
     ++folded;
   }
   return folded;
+}
+
+void Recorder::sample_self_if_empty() {
+  if (!recorder_enabled() || samples() != 0) return;
+  std::string key;
+  std::uint32_t tid = 0;
+  if (read_self(key, tid)) {
+    fold(key, tid, monotonic_micros(), /*only_if_empty=*/true);
+  }
 }
 
 std::uint64_t Recorder::samples() const {
@@ -430,11 +452,9 @@ std::string Recorder::self_slice(std::uint64_t since_us) {
   }
   // Synchronous self-sample: even when the query outran every sampler tick,
   // the slice still names where the thread is right now.
-  if (t_record != nullptr) {
-    std::string key;
-    std::uint32_t tid = 0;
-    if (read_stack(*t_record, key, tid)) ++weights[key];
-  }
+  std::string key;
+  std::uint32_t tid = 0;
+  if (read_self(key, tid)) ++weights[key];
   return render_collapsed(weights);
 }
 

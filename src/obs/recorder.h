@@ -121,6 +121,14 @@ class Recorder {
   /// directly for determinism.
   std::size_t sample_once();
 
+  /// While the profile holds no sample yet, folds in one synchronous sample
+  /// of the *calling* thread's stack (the same read self_slice() takes). A
+  /// diagnosis calls this while its spans are open, so a profile covering
+  /// one is never empty, even when the diagnosis ended between two sampler
+  /// ticks; once the sampler has folded anything in, the weights stay the
+  /// sampler's alone.
+  void sample_self_if_empty();
+
   /// Stack samples folded in since the last clear().
   [[nodiscard]] std::uint64_t samples() const;
 

@@ -81,7 +81,30 @@ VertexId ProvenanceGraph::add_vertex(VertexKind kind, TupleRef tuple,
   // next vertex, so the CSR span starts at the current edge cursor.
   edge_begin_.push_back(static_cast<std::uint32_t>(edges_.size()));
   edge_count_.push_back(0);
+  prev_.push_back(kNoVertex);
+  aux_.push_back(kNoVertex);
   return id;
+}
+
+void ProvenanceGraph::push_exist(TupleRef tuple, VertexId exist) {
+  const std::size_t page = tuple / kHeadPage;
+  if (page >= head_page_.size()) head_page_.resize(page + 1, kNoPage);
+  if (head_page_[page] == kNoPage) {
+    head_page_[page] = static_cast<std::uint32_t>(head_.size());
+    head_.resize(head_.size() + kHeadPage, kNoVertex);
+  }
+  VertexId& head = head_[head_page_[page] + tuple % kHeadPage];
+  if (head == kNoVertex) ++tuple_count_;
+  prev_[exist] = head;
+  head = exist;
+}
+
+void ProvenanceGraph::oldest_first(VertexId newest,
+                                   const std::vector<VertexId>& link,
+                                   std::vector<VertexId>& out) {
+  out.clear();
+  for (VertexId v = newest; v != kNoVertex; v = link[v]) out.push_back(v);
+  std::reverse(out.begin(), out.end());
 }
 
 Vertex ProvenanceGraph::vertex(VertexId id) const {
@@ -104,10 +127,10 @@ std::vector<VertexId> ProvenanceGraph::children_of(VertexId id) const {
 }
 
 std::optional<VertexId> ProvenanceGraph::live_exist(TupleRef tuple) const {
-  auto it = exist_index_.find(tuple);
-  if (it == exist_index_.end() || it->second.empty()) return std::nullopt;
-  const VertexId last = it->second.back();
-  if (exist_end_[last] != kTimeInfinity) return std::nullopt;
+  const VertexId last = latest_exist(tuple);
+  if (last == kNoVertex || exist_end_[last] != kTimeInfinity) {
+    return std::nullopt;
+  }
   return last;
 }
 
@@ -130,7 +153,7 @@ VertexId ProvenanceGraph::record_base_insert(TupleRef tuple, LogicalTime t,
   add_edge(appear_id);
   edge_count_[exist_id] = 1;
   if (is_event) exist_end_[exist_id] = t + 1;
-  exist_index_[tuple].push_back(exist_id);
+  push_exist(tuple, exist_id);
   return exist_id;
 }
 
@@ -141,8 +164,8 @@ VertexId ProvenanceGraph::record_derive(TupleRef head, NameRef rule,
   // Resolve the body tuples to their EXIST vertices as of `t`. A body tuple
   // must have been recorded before it can support a derivation; event
   // triggers have a one-instant interval, so fall back to the latest EXIST.
-  std::vector<VertexId> body_ids;
-  body_ids.reserve(body.size());
+  std::vector<VertexId>& body_ids = body_scratch_;
+  body_ids.clear();
   for (const TupleRef b : body) {
     std::optional<VertexId> id = exist_at(b, t);
     if (!id) id = latest_exist_before(b, t);
@@ -159,15 +182,18 @@ VertexId ProvenanceGraph::record_derive(TupleRef head, NameRef rule,
   add_edges(body_ids);
   edge_count_[derive_id] = static_cast<std::uint32_t>(body_ids.size());
   trigger_[derive_id] = static_cast<std::int32_t>(trigger_index);
-  trigger_index_[body_ids[trigger_index]].push_back(derive_id);
+  const VertexId trigger = body_ids[trigger_index];
+  prev_[derive_id] = aux_[trigger];
+  aux_[trigger] = derive_id;
 
   // Additional support for an already-live head: attach the new DERIVE to
   // the existing APPEAR and keep the open EXIST. The APPEAR's CSR span is
-  // frozen, so the append lands in the overflow table (causal order is CSR
-  // span first, then appends -- identical to the former push_back order).
+  // frozen, so the DERIVE joins the APPEAR's extra-support chain (causal
+  // order is CSR span first, then the chain oldest first).
   if (auto live = live_exist(head)) {
     const VertexId appear_id = first_child(*live);
-    extra_edges_[appear_id].push_back(derive_id);
+    aux_[derive_id] = aux_[appear_id];
+    aux_[appear_id] = derive_id;
     return *live;
   }
 
@@ -179,7 +205,7 @@ VertexId ProvenanceGraph::record_derive(TupleRef head, NameRef rule,
   add_edge(appear_id);
   edge_count_[exist_id] = 1;
   if (is_event) exist_end_[exist_id] = t + 1;
-  exist_index_[head].push_back(exist_id);
+  push_exist(head, exist_id);
   return exist_id;
 }
 
@@ -218,10 +244,8 @@ void ProvenanceGraph::record_underive(TupleRef tuple, NameRef rule,
 std::optional<VertexId> ProvenanceGraph::exist_at(TupleRef tuple,
                                                   LogicalTime at) const {
   LookupSample sample(counters_.lookups);
-  auto it = exist_index_.find(tuple);
-  if (it == exist_index_.end()) return std::nullopt;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (interval_of(*rit).contains(at)) return *rit;
+  for (VertexId v = latest_exist(tuple); v != kNoVertex; v = prev_[v]) {
+    if (interval_of(v).contains(at)) return v;
   }
   return std::nullopt;
 }
@@ -239,10 +263,8 @@ std::optional<VertexId> ProvenanceGraph::exist_at(const Tuple& tuple,
 std::optional<VertexId> ProvenanceGraph::latest_exist_before(
     TupleRef tuple, LogicalTime at) const {
   LookupSample sample(counters_.lookups);
-  auto it = exist_index_.find(tuple);
-  if (it == exist_index_.end()) return std::nullopt;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (time_[*rit] <= at) return *rit;
+  for (VertexId v = latest_exist(tuple); v != kNoVertex; v = prev_[v]) {
+    if (time_[v] <= at) return v;
   }
   return std::nullopt;
 }
@@ -258,8 +280,9 @@ std::optional<VertexId> ProvenanceGraph::latest_exist_before(
 }
 
 std::vector<VertexId> ProvenanceGraph::exists_of(TupleRef tuple) const {
-  auto it = exist_index_.find(tuple);
-  return it == exist_index_.end() ? std::vector<VertexId>{} : it->second;
+  std::vector<VertexId> out;
+  oldest_first(latest_exist(tuple), prev_, out);
+  return out;
 }
 
 std::vector<VertexId> ProvenanceGraph::exists_of(const Tuple& tuple) const {
@@ -268,11 +291,17 @@ std::vector<VertexId> ProvenanceGraph::exists_of(const Tuple& tuple) const {
 }
 
 const std::vector<TupleRef>& ProvenanceGraph::sorted_tuples() const {
-  if (sorted_tuples_.size() != exist_index_.size()) {
+  if (sorted_tuples_.size() != tuple_count_) {
     sorted_tuples_.clear();
-    sorted_tuples_.reserve(exist_index_.size());
-    for (const auto& [ref, exists] : exist_index_) {
-      sorted_tuples_.push_back(ref);
+    sorted_tuples_.reserve(tuple_count_);
+    for (std::size_t page = 0; page < head_page_.size(); ++page) {
+      if (head_page_[page] == kNoPage) continue;
+      for (std::uint32_t i = 0; i < kHeadPage; ++i) {
+        if (head_[head_page_[page] + i] != kNoVertex) {
+          sorted_tuples_.push_back(
+              static_cast<TupleRef>(page * kHeadPage + i));
+        }
+      }
     }
     TupleStore& store = global_store();
     std::sort(sorted_tuples_.begin(), sorted_tuples_.end(),
@@ -283,31 +312,20 @@ const std::vector<TupleRef>& ProvenanceGraph::sorted_tuples() const {
 
 std::vector<VertexId> ProvenanceGraph::derivations_triggered_by(
     VertexId exist) const {
-  auto it = trigger_index_.find(exist);
-  return it == trigger_index_.end() ? std::vector<VertexId>{} : it->second;
+  std::vector<VertexId> out;
+  if (kind_[exist] == VertexKind::kExist) oldest_first(aux_[exist], prev_, out);
+  return out;
 }
 
 std::size_t ProvenanceGraph::resident_bytes() const {
   const std::size_t per_vertex =
       sizeof(VertexKind) + sizeof(TupleRef) + sizeof(NameRef) +
       2 * sizeof(LogicalTime) + sizeof(std::int32_t) +
-      2 * sizeof(std::uint32_t);
-  std::size_t bytes = kind_.size() * per_vertex +
-                      edges_.capacity() * sizeof(VertexId);
-  for (const auto& [id, extra] : extra_edges_) {
-    bytes += sizeof(id) + extra.capacity() * sizeof(VertexId) +
-             2 * sizeof(void*);
-  }
-  for (const auto& [ref, exists] : exist_index_) {
-    bytes += sizeof(ref) + exists.capacity() * sizeof(VertexId) +
-             2 * sizeof(void*);
-  }
-  for (const auto& [id, derives] : trigger_index_) {
-    bytes += sizeof(id) + derives.capacity() * sizeof(VertexId) +
-             2 * sizeof(void*);
-  }
-  bytes += sorted_tuples_.capacity() * sizeof(TupleRef);
-  return bytes;
+      2 * sizeof(std::uint32_t) + 2 * sizeof(VertexId);
+  return kind_.size() * per_vertex + edges_.capacity() * sizeof(VertexId) +
+         head_page_.size() * sizeof(std::uint32_t) +
+         head_.size() * sizeof(VertexId) +
+         sorted_tuples_.capacity() * sizeof(TupleRef);
 }
 
 void ProvenanceGraph::publish_metrics(obs::MetricsRegistry& registry) {

@@ -6,19 +6,36 @@
 // from a seed), and tree projection (see tree.h).
 //
 // Storage is struct-of-arrays: parallel kind/tuple-ref/rule-ref/time columns
-// plus a CSR-style flat edge array (children appended after a vertex was
-// created -- only APPEARs gaining additional support -- go to a small
-// overflow table). Tuples themselves live once in the process-wide interned
-// store; a vertex carries a 32-bit TupleRef, so a tuple derived 10k times
-// costs 10k refs, not 10k copies. The exist-index is keyed by TupleRef
-// (O(1) hash on a 4-byte key) instead of the former std::map<Tuple,...>,
-// which both ordered-compared and *stored* a second copy of every tuple.
+// plus a CSR-style flat edge array. Tuples themselves live once in the
+// process-wide interned store; a vertex carries a 32-bit TupleRef, so a
+// tuple derived 10k times costs 10k refs, not 10k copies.
+//
+// The indexes are flat as well, so recording allocates nothing per tuple
+// and never rehashes. A head array indexed by TupleRef holds each tuple's
+// latest EXIST. It is paged: refs are dense but process-wide, so a small
+// graph recorded after the store grew would otherwise pay 4 bytes for every
+// tuple in the store. A page of kHeadPage heads is allocated when the graph
+// records its first EXIST in it; the page directory costs 4 bytes per
+// kHeadPage refs of the store. Two 32-bit link columns thread every other
+// index through the vertices themselves, as newest-first chains ended by
+// kNoVertex:
+//
+//             prev_                           aux_
+//   EXIST     previous EXIST of its tuple     latest DERIVE it triggered
+//   DERIVE    previous DERIVE, same trigger   previous extra support of
+//                                             its APPEAR
+//   APPEAR    --                              latest extra support
+//
+// An extra support is a DERIVE attached to an APPEAR after the APPEAR was
+// created (the head was already alive), when its CSR span is frozen.
+// Readers that promise insertion order (exists_of, derivations_triggered_by,
+// for_each_child) walk a chain and reverse it.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -83,21 +100,25 @@ class ProvenanceGraph {
     return {time_[id], exist_end_[id]};
   }
   [[nodiscard]] std::size_t child_count(VertexId id) const {
-    const auto it = extra_edges_.find(id);
-    return edge_count_[id] + (it == extra_edges_.end() ? 0 : it->second.size());
+    std::size_t count = edge_count_[id];
+    for (VertexId v = extra_head(id); v != kNoVertex; v = aux_[v]) ++count;
+    return count;
   }
-  /// First child (causal order). Precondition: child_count(id) > 0.
+  /// First child (causal order). Precondition: child_count(id) > 0. Only
+  /// APPEARs gain children after creation, and each is created with its
+  /// first support, so the first child is always in the CSR span.
   [[nodiscard]] VertexId first_child(VertexId id) const {
-    return edge_count_[id] > 0 ? edges_[edge_begin_[id]]
-                               : extra_edges_.find(id)->second.front();
+    return edges_[edge_begin_[id]];
   }
   /// Children in causal order: the CSR span, then post-creation appends.
   template <typename Visitor>
   void for_each_child(VertexId id, Visitor&& fn) const {
     const std::uint32_t begin = edge_begin_[id];
     for (std::uint32_t i = 0; i < edge_count_[id]; ++i) fn(edges_[begin + i]);
-    if (const auto it = extra_edges_.find(id); it != extra_edges_.end()) {
-      for (const VertexId child : it->second) fn(child);
+    if (extra_head(id) != kNoVertex) {
+      std::vector<VertexId> extras;
+      oldest_first(extra_head(id), aux_, extras);
+      for (const VertexId child : extras) fn(child);
     }
   }
   [[nodiscard]] std::vector<VertexId> children_of(VertexId id) const;
@@ -143,8 +164,10 @@ class ProvenanceGraph {
   /// template rather than std::function so tight visitors inline.
   template <typename Visitor>
   void for_each_tuple(Visitor&& fn) const {
+    std::vector<VertexId> exists;
     for (const TupleRef ref : sorted_tuples()) {
-      fn(global_store().resolve(ref), exist_index_.find(ref)->second);
+      oldest_first(latest_exist(ref), prev_, exists);
+      fn(global_store().resolve(ref), std::as_const(exists));
     }
   }
 
@@ -187,9 +210,27 @@ class ProvenanceGraph {
   void add_edges(const std::vector<VertexId>& children) {
     edges_.insert(edges_.end(), children.begin(), children.end());
   }
+  /// Makes `exist` the latest EXIST of `tuple`.
+  void push_exist(TupleRef tuple, VertexId exist);
   [[nodiscard]] std::optional<VertexId> live_exist(TupleRef tuple) const;
   void close_exist(TupleRef tuple, LogicalTime t);
   [[nodiscard]] const std::vector<TupleRef>& sorted_tuples() const;
+  /// Latest EXIST of `tuple`, or kNoVertex.
+  [[nodiscard]] VertexId latest_exist(TupleRef tuple) const {
+    const std::size_t page = tuple / kHeadPage;
+    if (page >= head_page_.size() || head_page_[page] == kNoPage) {
+      return kNoVertex;
+    }
+    return head_[head_page_[page] + tuple % kHeadPage];
+  }
+  /// Newest extra support of an APPEAR; kNoVertex for every other kind.
+  [[nodiscard]] VertexId extra_head(VertexId id) const {
+    return kind_[id] == VertexKind::kAppear ? aux_[id] : kNoVertex;
+  }
+  /// Replaces `out` with the chain starting at `newest` and linked through
+  /// `link`, reversed into insertion order.
+  static void oldest_first(VertexId newest, const std::vector<VertexId>& link,
+                           std::vector<VertexId>& out);
 
   // Vertex columns (struct of arrays; one entry per vertex).
   std::vector<VertexKind> kind_;
@@ -203,16 +244,23 @@ class ProvenanceGraph {
   std::vector<std::uint32_t> edge_begin_;
   std::vector<std::uint32_t> edge_count_;
   std::vector<VertexId> edges_;
-  // Children attached after creation (APPEARs gaining additional support).
-  std::unordered_map<VertexId, std::vector<VertexId>> extra_edges_;
+  // The two link columns (see the table at the top of this file).
+  std::vector<VertexId> prev_;
+  std::vector<VertexId> aux_;
 
-  // All EXIST vertices per tuple, in chronological order.
-  std::unordered_map<TupleRef, std::vector<VertexId>> exist_index_;
-  // Structurally-sorted exist-index keys, rebuilt lazily when the key set
+  // TupleRef -> its latest EXIST (kNoVertex if none), paged: ref r's head
+  // is head_[head_page_[r / kHeadPage] + r % kHeadPage], and a page absent
+  // from the directory (kNoPage) holds no EXIST.
+  static constexpr std::uint32_t kHeadPage = 256;
+  static constexpr std::uint32_t kNoPage = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> head_page_;
+  std::vector<VertexId> head_;
+  std::size_t tuple_count_ = 0;  // refs with an EXIST in head_
+  // Structurally-sorted refs with an EXIST, rebuilt lazily when that set
   // grew (for_each_tuple determinism).
   mutable std::vector<TupleRef> sorted_tuples_;
-  // trigger EXIST -> DERIVE vertices it triggered.
-  std::unordered_map<VertexId, std::vector<VertexId>> trigger_index_;
+  // record_derive's body EXISTs, reused so recording never allocates them.
+  std::vector<VertexId> body_scratch_;
   // mutable: the const lookups count themselves.
   mutable Counters counters_;
   Counters published_;

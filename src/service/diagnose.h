@@ -65,7 +65,9 @@ struct DiagnoseOutcome {
 
 /// Runs one diagnosis. `warm_run` optionally supplies an already-replayed
 /// bad execution (the service's warm-session path); when absent the problem
-/// log is replayed first (the CLI's cold path). Both yield identical text.
+/// log is replayed first (the CLI's cold path). Both yield identical text,
+/// and DiffProv reuses that one run: profile.timing.replays counts only the
+/// UpdateTree replays, one per round.
 DiagnoseOutcome diagnose_problem(const Problem& problem,
                                  const DiagnoseSpec& spec,
                                  const ReplayOptions& replay_options,

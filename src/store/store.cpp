@@ -56,11 +56,6 @@ ValueRef ValuePool::intern(const Value& v) {
   return r;
 }
 
-ValueRef ValuePool::find(const Value& v) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return find_in_chain(hash_of(v), v);
-}
-
 ValuePool::Stats ValuePool::stats() const {
   Stats s;
   s.hits = hits_.load(std::memory_order_relaxed);
@@ -91,18 +86,12 @@ NameRef NamePool::intern(std::string_view name) {
   return r;
 }
 
-NameRef NamePool::find(std::string_view name) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = index_.find(name);
-  return it == index_.end() ? kNoName : it->second;
-}
-
 // ---------------------------------------------------------------------------
 // TupleStore
 
 namespace {
-/// Scratch for a tuple's value refs during intern/find; thread-local so the
-/// hot path never allocates once warmed up.
+/// Scratch for a new tuple's value refs during intern; thread-local so the
+/// insert path never allocates once warmed up.
 thread_local std::vector<ValueRef> t_scratch_refs;
 }  // namespace
 
@@ -113,23 +102,18 @@ TupleStore::~TupleStore() {
   }
 }
 
-TupleRef TupleStore::find_in_chain(std::uint64_t hash, NameRef table,
-                                   const ValueRef* refs, std::size_t n) const {
+TupleRef TupleStore::find_in_chain(std::uint64_t hash, const Tuple& t) const {
   auto it = buckets_.find(hash);
   if (it == buckets_.end()) return kNoTupleRef;
+  const std::size_t n = t.arity();
   for (TupleRef r = it->second; r != kNoTupleRef; r = next_[r]) {
-    if (table_[r] != table || arity_[r] != n) continue;
+    if (arity_[r] != n || names_.name(table_[r]) != t.table()) continue;
+    // The name and value pools read lock-free, so the whole probe runs
+    // under this one shared lock.
     const std::uint32_t begin = begin_[r];
-    bool equal = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Value refs are themselves interned, so ref equality is value
-      // equality -- no value comparisons on the tuple probe path.
-      if (refs_[begin + i] != refs[i]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return r;
+    std::size_t i = 0;
+    while (i < n && pool_.value(refs_[begin + i]) == t.at(i)) ++i;
+    if (i == n) return r;
   }
   return kNoTupleRef;
 }
@@ -151,7 +135,7 @@ TupleRef TupleStore::insert_locked(std::uint64_t hash, NameRef table,
   // The no-second-copy invariant: the record just written must round-trip to
   // a tuple structurally equal to the input, and re-interning must find it
   // (i.e. the store never ends up with two records for one tuple).
-  assert(find_in_chain(hash, table, refs, n) == r &&
+  assert(find_in_chain(hash, t) == r &&
          "TupleStore: duplicate record for one tuple");
   assert(table_name(r) == t.table() && arity(r) == t.arity());
   for (std::size_t i = 0; i < t.arity(); ++i) {
@@ -163,24 +147,25 @@ TupleRef TupleStore::insert_locked(std::uint64_t hash, NameRef table,
 }
 
 TupleRef TupleStore::intern(const Tuple& t) {
-  std::vector<ValueRef>& refs = t_scratch_refs;
-  refs.clear();
-  refs.reserve(t.arity());
-  for (const Value& v : t.values()) refs.push_back(pool_.intern(v));
-  const NameRef table = names_.intern(t.table());
   const std::uint64_t hash = hash_of(t);
-
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    const TupleRef r = find_in_chain(hash, table, refs.data(), refs.size());
+    const TupleRef r = find_in_chain(hash, t);
     if (r != kNoTupleRef) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return r;
     }
   }
+  // A miss: only now intern the values and the name (each pool takes its
+  // own lock), then insert under the store's unique lock.
+  std::vector<ValueRef>& refs = t_scratch_refs;
+  refs.clear();
+  refs.reserve(t.arity());
+  for (const Value& v : t.values()) refs.push_back(pool_.intern(v));
+  const NameRef table = names_.intern(t.table());
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  const TupleRef existing =
-      find_in_chain(hash, table, refs.data(), refs.size());
+  // Re-probe: another thread may have interned t between the locks.
+  const TupleRef existing = find_in_chain(hash, t);
   if (existing != kNoTupleRef) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return existing;
@@ -189,18 +174,9 @@ TupleRef TupleStore::intern(const Tuple& t) {
 }
 
 TupleRef TupleStore::find(const Tuple& t) const {
-  std::vector<ValueRef>& refs = t_scratch_refs;
-  refs.clear();
-  refs.reserve(t.arity());
-  for (const Value& v : t.values()) {
-    const ValueRef vr = pool_.find(v);
-    if (vr == kNoValueRef) return kNoTupleRef;  // unseen value => unseen tuple
-    refs.push_back(vr);
-  }
-  const NameRef table = names_.find(t.table());
-  if (table == kNoName) return kNoTupleRef;
+  const std::uint64_t hash = hash_of(t);
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return find_in_chain(hash_of(t), table, refs.data(), refs.size());
+  return find_in_chain(hash, t);
 }
 
 const Tuple& TupleStore::resolve(TupleRef ref) const {

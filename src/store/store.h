@@ -76,9 +76,6 @@ class ValuePool {
   /// Returns the ref of `v`, inserting it if unseen.
   ValueRef intern(const Value& v);
 
-  /// Ref of `v` if it was ever interned, else kNoValueRef. Never inserts.
-  [[nodiscard]] ValueRef find(const Value& v) const;
-
   /// The interned value. Lock-free; `ref` must have come from this pool.
   [[nodiscard]] const Value& value(ValueRef ref) const { return values_[ref]; }
 
@@ -118,7 +115,6 @@ class NamePool {
   NamePool& operator=(const NamePool&) = delete;
 
   NameRef intern(std::string_view name);
-  [[nodiscard]] NameRef find(std::string_view name) const;
 
   /// Lock-free; kNoName returns the empty string.
   [[nodiscard]] const std::string& name(NameRef ref) const {
@@ -154,11 +150,15 @@ class TupleStore {
   ~TupleStore();
 
   /// Returns the ref of `t`, inserting it if unseen. An equal tuple always
-  /// returns the same ref, so ref comparison is tuple equality.
+  /// returns the same ref, so ref comparison is tuple equality. One probe:
+  /// `t` is hashed once and compared field by field against its hash chain
+  /// under one shared lock; its values and table name are interned only
+  /// when the tuple is new.
   TupleRef intern(const Tuple& t);
 
-  /// Ref of `t` if interned, else kNoTupleRef. Never inserts (lookups of
-  /// never-recorded tuples must not grow the store).
+  /// Ref of `t` if interned, else kNoTupleRef. The same single probe as
+  /// intern(); never inserts (lookups of never-recorded tuples must not
+  /// grow the store).
   [[nodiscard]] TupleRef find(const Tuple& t) const;
 
   /// The canonical materialized Tuple behind `ref`. Built lazily on first
@@ -224,9 +224,10 @@ class TupleStore {
   [[nodiscard]] std::uint64_t hash_of(const Tuple& t) const {
     return tuple_hash_ != nullptr ? tuple_hash_(t) : t.hash();
   }
-  [[nodiscard]] TupleRef find_in_chain(std::uint64_t hash, NameRef table,
-                                       const ValueRef* refs,
-                                       std::size_t n) const;
+  /// The record structurally equal to `t` in `hash`'s chain, else
+  /// kNoTupleRef. Caller holds the lock (shared or unique).
+  [[nodiscard]] TupleRef find_in_chain(std::uint64_t hash,
+                                       const Tuple& t) const;
   /// Appends a new record (columns, bucket chain, canonical slot). Caller
   /// holds the unique lock and has verified the tuple is absent.
   TupleRef insert_locked(std::uint64_t hash, NameRef table,

@@ -9,6 +9,7 @@
 #include "diffprov/reference.h"
 #include "dns/dns.h"
 #include "ndlog/parser.h"
+#include "obs/metrics.h"
 #include "sdn/scenario.h"
 #include "tools/cli.h"
 
@@ -171,11 +172,56 @@ TEST(Reference, SuggestsAndDiagnosesSdn1Automatically) {
   LogReplayProvider provider(s.program, s.topology, s.log);
   DiffProv diffprov(s.program, provider);
   const AutoDiagnosis result =
-      diagnose_with_auto_reference(diffprov, *run.graph, s.bad_event);
+      diagnose_with_auto_reference(diffprov, run, s.bad_event);
   ASSERT_TRUE(result.result.ok()) << result.result.to_string();
   ASSERT_TRUE(result.reference.has_value());
   EXPECT_NE(result.result.changes[0].to_string().find("4.3.2.0/23"),
             std::string::npos);
+}
+
+/// What one auto-reference diagnosis added to the dp.diffprov.* counters.
+struct AutoCounts {
+  std::size_t tried = 0;
+  std::uint64_t diagnoses = 0;
+  std::uint64_t replays = 0;
+  std::uint64_t rounds = 0;
+};
+
+template <typename Scenario>
+AutoCounts auto_reference_counts(const Scenario& s) {
+  LogReplayProvider provider(s.program, s.topology, s.log);
+  const BadRun run = provider.replay_bad({});
+  DiffProv diffprov(s.program, provider);
+  obs::MetricsRegistry& registry = obs::default_registry();
+  const auto count = [&registry](const char* name) {
+    return registry.counter(name).value();
+  };
+  const std::uint64_t diagnoses = count("dp.diffprov.diagnoses");
+  const std::uint64_t replays = count("dp.diffprov.replays");
+  const std::uint64_t rounds = count("dp.diffprov.rounds");
+  const AutoDiagnosis result =
+      diagnose_with_auto_reference(diffprov, run, s.bad_event);
+  EXPECT_TRUE(result.result.ok()) << result.result.to_string();
+  return {result.candidates_tried, count("dp.diffprov.diagnoses") - diagnoses,
+          count("dp.diffprov.replays") - replays,
+          count("dp.diffprov.rounds") - rounds};
+}
+
+TEST(Reference, EveryCandidateStartsFromTheSharedBadRun) {
+  // No candidate replays the log again: a candidate replays once per
+  // UpdateTree round and nothing else.
+  const AutoCounts replica = auto_reference_counts(dns::stale_replica());
+  EXPECT_EQ(replica.tried, 1u);
+  EXPECT_EQ(replica.diagnoses, 1u);
+  EXPECT_GT(replica.rounds, 0u);
+  EXPECT_EQ(replica.replays, replica.rounds);
+
+  // SDN2 tries two candidates. The first fails inside its first round,
+  // before that round's replay, so it replays nothing at all.
+  const AutoCounts sdn2 = auto_reference_counts(sdn::sdn2());
+  EXPECT_EQ(sdn2.tried, 2u);
+  EXPECT_EQ(sdn2.diagnoses, 2u);
+  EXPECT_EQ(sdn2.replays, sdn2.rounds - 1);
 }
 
 TEST(Reference, ReportsFailureWhenNoCandidateWorks) {
@@ -191,7 +237,7 @@ TEST(Reference, ReportsFailureWhenNoCandidateWorks) {
   const BadRun run = provider.replay_bad({});
   DiffProv diffprov(program, provider);
   const AutoDiagnosis result = diagnose_with_auto_reference(
-      diffprov, *run.graph, parse_tuple("b(@n, 1)"));
+      diffprov, run, parse_tuple("b(@n, 1)"));
   EXPECT_FALSE(result.result.ok());
   EXPECT_FALSE(result.reference.has_value());
 }

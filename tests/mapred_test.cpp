@@ -161,6 +161,9 @@ TEST_P(MrScenarioTest, DiffProvPinpointsRootCause) {
       << s.name << ": " << d.result.to_string();
   EXPECT_GT(d.good_tree.size(), 20u);
   EXPECT_GT(d.bad_tree.size(), 20u);
+  // mapred::diagnose hands DiffProv the bad job's run, so DiffProv replays
+  // only for its UpdateTree rounds.
+  EXPECT_EQ(d.result.timing.replays, d.result.rounds) << s.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllScenarios, MrScenarioTest, ::testing::Range(0, 4),

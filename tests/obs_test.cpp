@@ -1061,6 +1061,25 @@ std::string diagnose_sdn1_fingerprint_with(const ReplayOptions& options) {
          result.to_string();
 }
 
+TEST(Profiler, DiagnosisSamplesItselfOnlyIntoAnEmptyProfile) {
+  // No sampler: the diagnosis's own synchronous sample is the only source.
+  obs::Recorder& recorder = obs::Recorder::instance();
+  recorder.stop_sampler();
+  recorder.clear();
+  recorder.set_enabled(true);
+  diagnose_sdn1_fingerprint_with({});
+  EXPECT_EQ(recorder.samples(), 1u);
+  const std::string first = recorder.collapsed();
+  EXPECT_EQ(first.rfind("dp.diffprov.diagnose", 0), 0u) << first;
+
+  // A second diagnosis leaves a non-empty profile alone.
+  diagnose_sdn1_fingerprint_with({});
+  EXPECT_EQ(recorder.samples(), 1u);
+  EXPECT_EQ(recorder.collapsed(), first);
+  recorder.set_enabled(false);
+  recorder.clear();
+}
+
 TEST(Profiler, DiagnosisIsByteIdenticalWithProfilerOnAcrossExecVariants) {
   obs::Recorder& recorder = obs::Recorder::instance();
   struct Variant {

@@ -1,6 +1,11 @@
 // Tests for the temporal provenance graph, recorder and tree projection.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ndlog/parser.h"
 #include "provenance/recorder.h"
 #include "provenance/tree.h"
@@ -90,6 +95,120 @@ TEST(Graph, TriggerIndexFindsDownstreamDerivations) {
   const auto derivations = graph.derivations_triggered_by(seed_exist);
   ASSERT_EQ(derivations.size(), 1u);
   EXPECT_EQ(graph.vertex(derivations[0]).tuple(), head);
+}
+
+TEST(Graph, IndexesReturnVerticesInRecordingOrder) {
+  // Interleaved EXISTs of several tuples, several DERIVEs per trigger and
+  // several extra supports on one APPEAR. Vertex ids are the graph's own
+  // append order, so every expected id below follows from the script.
+  ProvenanceGraph graph;
+  const Tuple a1 = make("cfg", {"n", 1});
+  const Tuple a2 = make("cfg", {"n", 2});
+  const Tuple p = make("pkt", {"n", 1});
+  const Tuple h = make("out", {"n", 1});
+  const Tuple h2 = make("out", {"n", 2});
+  const Tuple h3 = make("out", {"n", 3});
+  EXPECT_EQ(graph.record_base_insert(a1, 1, false), 2u);    // 0 1 2
+  EXPECT_EQ(graph.record_base_insert(a2, 2, false), 5u);    // 3 4 5
+  EXPECT_EQ(graph.record_base_insert(p, 3, true), 8u);      // 6 7 8
+  EXPECT_EQ(graph.record_derive(h, "r1", {p, a1}, 0, 3, false), 11u);  // 9..11
+  EXPECT_EQ(graph.record_derive(h, "r2", {a2}, 0, 4, false), 11u);     // 12
+  EXPECT_EQ(graph.record_derive(h, "r1", {p, a1}, 1, 5, false), 11u);  // 13
+  graph.record_base_delete(a1, 6);                          // 14 15
+  EXPECT_EQ(graph.record_base_insert(a1, 7, false), 18u);   // 16 17 18
+  EXPECT_EQ(graph.record_base_insert(p, 8, true), 21u);     // 19 20 21
+  EXPECT_EQ(graph.record_derive(h2, "r1", {p, a1}, 0, 8, false), 24u);  // 22..24
+  EXPECT_EQ(graph.record_derive(h, "r3", {p}, 0, 9, false), 11u);       // 25
+  EXPECT_EQ(graph.record_derive(h3, "r1", {a2}, 0, 10, false), 28u);    // 26..28
+  graph.record_underive(h, "r1", 11);                       // 29 30
+  EXPECT_EQ(graph.record_derive(h, "r2", {a2}, 0, 12, false), 33u);     // 31..33
+  ASSERT_EQ(graph.size(), 34u);
+
+  using Ids = std::vector<VertexId>;
+  EXPECT_EQ(graph.exists_of(a1), (Ids{2, 18}));
+  EXPECT_EQ(graph.exists_of(a2), (Ids{5}));
+  EXPECT_EQ(graph.exists_of(p), (Ids{8, 21}));
+  EXPECT_EQ(graph.exists_of(h), (Ids{11, 33}));
+  EXPECT_EQ(graph.exists_of(make("out", {"n", 9})), Ids{});
+
+  EXPECT_EQ(graph.derivations_triggered_by(8), (Ids{9}));
+  EXPECT_EQ(graph.derivations_triggered_by(2), (Ids{13}));
+  EXPECT_EQ(graph.derivations_triggered_by(5), (Ids{12, 26, 31}));
+  EXPECT_EQ(graph.derivations_triggered_by(21), (Ids{22, 25}));
+  EXPECT_EQ(graph.derivations_triggered_by(18), Ids{});
+  EXPECT_EQ(graph.derivations_triggered_by(10), Ids{});  // an APPEAR
+
+  // The APPEAR of h: its creating DERIVE, then three extra supports.
+  EXPECT_EQ(graph.children_of(10), (Ids{9, 12, 13, 25}));
+  EXPECT_EQ(graph.vertex(10).children, (Ids{9, 12, 13, 25}));
+  EXPECT_EQ(graph.child_count(10), 4u);
+  EXPECT_EQ(graph.first_child(10), 9u);
+  // Link columns never leak into the children of other kinds.
+  EXPECT_EQ(graph.children_of(2), (Ids{1}));  // EXIST that triggered 13
+  EXPECT_EQ(graph.child_count(2), 1u);
+  EXPECT_EQ(graph.children_of(13), (Ids{8, 2}));  // extra support, 2nd
+  EXPECT_EQ(graph.child_count(13), 2u);
+  EXPECT_EQ(graph.first_child(13), 8u);
+  EXPECT_EQ(graph.children_of(25), (Ids{21}));
+  EXPECT_EQ(graph.children_of(22), (Ids{21, 18}));
+  EXPECT_EQ(graph.children_of(32), (Ids{31}));
+  EXPECT_EQ(graph.children_of(11), (Ids{10}));
+
+  using Opt = std::optional<VertexId>;
+  EXPECT_EQ(graph.exist_at(a1, 5), Opt(2));
+  EXPECT_EQ(graph.exist_at(a1, 6), std::nullopt);
+  EXPECT_EQ(graph.exist_at(a1, 7), Opt(18));
+  EXPECT_EQ(graph.exist_at(p, 3), Opt(8));
+  EXPECT_EQ(graph.exist_at(p, 4), std::nullopt);
+  EXPECT_EQ(graph.exist_at(p, 8), Opt(21));
+  EXPECT_EQ(graph.exist_at(h, 10), Opt(11));
+  EXPECT_EQ(graph.exist_at(h, 11), std::nullopt);
+  EXPECT_EQ(graph.exist_at(h, 12), Opt(33));
+  EXPECT_EQ(graph.latest_exist_before(p, 2), std::nullopt);
+  EXPECT_EQ(graph.latest_exist_before(p, 7), Opt(8));
+  EXPECT_EQ(graph.latest_exist_before(p, 100), Opt(21));
+  EXPECT_EQ(graph.latest_exist_before(a1, 6), Opt(2));
+  EXPECT_EQ(graph.latest_exist_before(h, 11), Opt(11));
+  EXPECT_EQ(graph.latest_exist_before(h, 12), Opt(33));
+
+  std::vector<std::pair<std::string, Ids>> tuples;
+  graph.for_each_tuple([&](const Tuple& t, const Ids& exists) {
+    tuples.emplace_back(t.to_string(), exists);
+  });
+  const std::vector<std::pair<std::string, Ids>> expected = {
+      {a1.to_string(), {2, 18}}, {a2.to_string(), {5}},
+      {h.to_string(), {11, 33}}, {h2.to_string(), {24}},
+      {h3.to_string(), {28}},    {p.to_string(), {8, 21}}};
+  EXPECT_EQ(tuples, expected);
+}
+
+TEST(Graph, HeadMemoryFollowsTheGraphNotTheStore) {
+  // TupleRefs are process-wide and dense. Grow the store first, as ingest
+  // does in a long-running daemon, so this small graph's tuples get refs
+  // far past anything it records; then split them over two head pages.
+  const auto pad = [](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      global_store().intern(make("pad", {"n", i}));
+    }
+  };
+  pad(0, 1 << 17);
+  const Tuple a = make("late", {"n", 1});
+  global_store().intern(a);
+  pad(1 << 17, (1 << 17) + 1000);
+  const Tuple b = make("late", {"n", 2});
+
+  ProvenanceGraph graph;
+  EXPECT_EQ(graph.record_base_insert(b, 1, false), 2u);
+  EXPECT_EQ(graph.record_base_insert(a, 2, false), 5u);
+  EXPECT_EQ(graph.exists_of(a), (std::vector<VertexId>{5}));
+  EXPECT_EQ(graph.exists_of(b), (std::vector<VertexId>{2}));
+  std::vector<std::string> seen;
+  graph.for_each_tuple([&](const Tuple& t, const std::vector<VertexId>&) {
+    seen.push_back(t.to_string());
+  });
+  EXPECT_EQ(seen, (std::vector<std::string>{a.to_string(), b.to_string()}));
+  // A head with one slot per stored tuple would take over 512 KiB.
+  EXPECT_LT(graph.resident_bytes(), std::size_t{16} << 10);
 }
 
 // ---------------------------------------------------------------- trees --

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "service/bounded_queue.h"
 #include "service/cache.h"
+#include "service/diagnose.h"
 #include "service/service.h"
 #include "tools/cli.h"
 
@@ -405,6 +406,33 @@ TEST(Service, WarmSessionSkipsTheReplayOnLaterQueries) {
   EXPECT_EQ(session.warm_hits, 1u);
   EXPECT_EQ(registry.counter("dp.service.session.cold_replays").value(), 1u);
   EXPECT_EQ(registry.counter("dp.service.session.warm_hits").value(), 1u);
+}
+
+TEST(DiagnosePipeline, ColdDiagnosisReplaysOncePerRoundAndMatchesWarm) {
+  // The cold path replays the log once and hands that run to DiffProv, so
+  // DiffProv's own replays are its UpdateTree rounds -- exactly what the
+  // warm path, which replays nothing up front, reports too.
+  for (const char* name : {"sdn1", "sdn2", "sdn3", "sdn4"}) {
+    std::ostringstream err;
+    const std::optional<Problem> problem = builtin_scenario(name, err);
+    ASSERT_TRUE(problem.has_value()) << err.str();
+    DiagnoseSpec spec;
+    spec.good_event = problem->good_event;
+    spec.bad_event = *problem->bad_event;
+    const DiagnoseOutcome cold = diagnose_problem(*problem, spec, {});
+    EXPECT_FALSE(cold.profile.warm_reuse);
+    EXPECT_GT(cold.profile.rounds, 0) << name;
+    EXPECT_EQ(cold.profile.timing.replays, cold.profile.rounds) << name;
+
+    LogReplayProvider provider(problem->program, problem->topology,
+                               problem->log);
+    const auto warm_run = std::make_shared<const BadRun>(provider.replay_bad({}));
+    const DiagnoseOutcome warm = diagnose_problem(*problem, spec, {}, warm_run);
+    EXPECT_TRUE(warm.profile.warm_reuse);
+    EXPECT_EQ(warm.profile.timing.replays, cold.profile.timing.replays);
+    EXPECT_EQ(warm.exit_code, cold.exit_code) << name;
+    EXPECT_EQ(warm.out, cold.out) << name;
+  }
 }
 
 TEST(SessionManager, ByteBudgetCoolsLruSessionsByMeasuredFootprint) {

@@ -106,16 +106,15 @@ TEST(TupleStore, ValueHashCollisionsStillDistinguishValues) {
       Value(1), Value(2), Value(1.0), Value("1"), Value(""),
       Value(*Ipv4::parse("10.0.0.1")),
       Value(IpPrefix(*Ipv4::parse("10.0.0.0"), 8))};
-  std::set<ValueRef> refs;
+  std::vector<ValueRef> refs;
   for (const Value& v : values) {
-    refs.insert(store.values().intern(v));
+    refs.push_back(store.values().intern(v));
   }
-  EXPECT_EQ(refs.size(), values.size());
-  for (const Value& v : values) {
-    const ValueRef ref = store.values().find(v);
-    ASSERT_NE(ref, kNoValueRef);
-    EXPECT_EQ(store.values().value(ref), v);
-    EXPECT_EQ(store.values().intern(v), ref);
+  EXPECT_EQ(std::set<ValueRef>(refs.begin(), refs.end()).size(),
+            values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(store.values().value(refs[i]), values[i]);
+    EXPECT_EQ(store.values().intern(values[i]), refs[i]);
   }
 }
 
@@ -135,6 +134,51 @@ TEST(TupleStore, TupleHashCollisionsStillDistinguishTuples) {
     ASSERT_NE(ref, kNoTupleRef);
     EXPECT_EQ(store.resolve(ref), t);
   }
+}
+
+TEST(TupleStore, OneProbeSeparatesTypeTableAndArityInOneChain) {
+  // Every tuple shares one hash chain, so the single structural probe alone
+  // must tell apart tuples that differ only in a value's type, in the table
+  // name, or in arity -- for find() before and after interning.
+  TupleStore store(nullptr, &colliding_tuple_hash);
+  const std::vector<Tuple> tuples = {
+      Tuple("flow", {Value("sw1"), Value(1)}),
+      Tuple("flow", {Value("sw1"), Value("1")}),
+      Tuple("flow", {Value("sw1"), Value(1.0)}),
+      Tuple("route", {Value("sw1"), Value(1)}),
+      Tuple("flow", {Value("sw1")}),
+      Tuple("flow", {Value("sw1"), Value(1), Value(1)}),
+  };
+  for (const Tuple& t : tuples) {
+    EXPECT_EQ(store.find(t), kNoTupleRef) << t.to_string();
+  }
+  std::vector<TupleRef> refs;
+  for (const Tuple& t : tuples) refs.push_back(store.intern(t));
+  EXPECT_EQ(std::set<TupleRef>(refs.begin(), refs.end()).size(),
+            tuples.size());
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_EQ(store.intern(tuples[i]), refs[i]) << tuples[i].to_string();
+    EXPECT_EQ(store.find(tuples[i]), refs[i]) << tuples[i].to_string();
+    EXPECT_EQ(store.resolve(refs[i]), tuples[i]);
+  }
+}
+
+TEST(TupleStore, ReInterningAKnownTupleLeavesTheValuePoolAlone) {
+  // A hit is decided by the tuple probe alone; the values are interned only
+  // when the tuple is new.
+  TupleStore store(nullptr, &colliding_tuple_hash);
+  std::vector<TupleRef> refs;
+  for (int dst = 0; dst < 4; ++dst) refs.push_back(store.intern(flow(1, dst)));
+  const std::size_t values = store.values().size();
+  const std::uint64_t value_hits = store.values().stats().hits;
+  for (int round = 0; round < 3; ++round) {
+    for (int dst = 0; dst < 4; ++dst) {
+      EXPECT_EQ(store.intern(flow(1, dst)), refs[static_cast<std::size_t>(dst)]);
+    }
+  }
+  EXPECT_EQ(store.values().size(), values);
+  EXPECT_EQ(store.values().stats().hits, value_hits);
+  EXPECT_EQ(store.stats().hits, 12u);
 }
 
 // -------------------------------------------------- cross-thread interning --
@@ -354,8 +398,6 @@ TEST(NamePool, InterningDeduplicatesAndResolvesStably) {
   EXPECT_EQ(pool.intern("flow"), a);
   EXPECT_EQ(pool.name(a), "flow");
   EXPECT_EQ(pool.name(kNoName), "");
-  EXPECT_EQ(pool.find("flow"), a);
-  EXPECT_EQ(pool.find("nope"), kNoName);
   EXPECT_EQ(pool.size(), 2u);
 }
 
