@@ -7,9 +7,8 @@
 // latest checkpoint and replaying only the suffix. Both must converge to
 // identical flow tables.
 #include "bench_util.h"
-#include "replay/checkpoint.h"
-#include "sdn/program.h"
 #include "replay/replay_engine.h"
+#include "sdn/program.h"
 #include "sdn/scenario.h"
 #include "sdn/trace.h"
 
@@ -44,50 +43,30 @@ int main() {
   sdn::add_policy(s.log, "sw3", 50, "99.0.0.0/8", "sw4",
                   checkpoint_time + 500);  // suffix-only config change
 
-  // Run to the checkpoint, capture, and keep the suffix of the log.
+  // Run to the checkpoint time and capture there: the restore replays the
+  // log records after the capture time, so it must be the cut itself.
   Engine prefix_engine(sdn::make_program());
   for (const LogRecord& r : s.log.records()) {
-    if (r.time <= checkpoint_time) {
-      if (r.op == LogRecord::Op::kInsert) {
-        prefix_engine.schedule_insert(r.tuple(), r.time);
-      } else {
-        prefix_engine.schedule_delete(r.tuple(), r.time);
-      }
-    }
+    if (r.time <= checkpoint_time) schedule_record(prefix_engine, r);
   }
-  prefix_engine.run();
+  prefix_engine.run_until(checkpoint_time);
   const Checkpoint checkpoint = Checkpoint::capture(prefix_engine);
 
   // (a) Full replay from the beginning.
   bench::WallTimer full_timer;
   Engine full_engine(sdn::make_program());
-  for (const LogRecord& r : s.log.records()) {
-    if (r.op == LogRecord::Op::kInsert) {
-      full_engine.schedule_insert(r.tuple(), r.time);
-    } else {
-      full_engine.schedule_delete(r.tuple(), r.time);
-    }
-  }
+  for (const LogRecord& r : s.log.records()) schedule_record(full_engine, r);
   full_engine.run();
   const double full_ms = full_timer.millis();
 
   // (b) Restore the checkpoint and replay only the suffix.
   bench::WallTimer suffix_timer;
-  Engine suffix_engine(sdn::make_program());
-  checkpoint.schedule_into(suffix_engine, checkpoint_time);
-  for (const LogRecord& r : s.log.records()) {
-    if (r.time <= checkpoint_time) continue;
-    if (r.op == LogRecord::Op::kInsert) {
-      suffix_engine.schedule_insert(r.tuple(), r.time);
-    } else {
-      suffix_engine.schedule_delete(r.tuple(), r.time);
-    }
-  }
-  suffix_engine.run();
+  const std::unique_ptr<Engine> suffix_engine =
+      restore_from_checkpoint(sdn::make_program(), {}, checkpoint, s.log);
   const double suffix_ms = suffix_timer.millis();
 
   const bool state_equal =
-      flow_state(full_engine) == flow_state(suffix_engine);
+      flow_state(full_engine) == flow_state(*suffix_engine);
   bench::print_row({"Reconstruction", "Time (ms)"});
   bench::print_row({"--------------", "---------"});
   bench::print_row({"full replay", bench::fmt(full_ms, 1)});

@@ -45,9 +45,6 @@ IngestStream::IngestStream(std::string key, Program program, Topology topology,
       snapshots_counter_(registry.counter("dp.ingest.snapshots")),
       snapshot_us_(registry.sketch("dp.ingest.snapshot_us")) {
   if (ingest_.epoch_events == 0) ingest_.epoch_events = 1;
-  // Live streams always run to arrival horizon; a truncated replay would
-  // break the byte-identity contract against full-prefix replay.
-  options_.until = kTimeInfinity;
   engine_ = std::make_shared<Engine>(program_, options_.engine_config);
   recorder_ = std::make_shared<ProvenanceRecorder>();
   if (options_.provenance_filter) {
@@ -57,8 +54,6 @@ IngestStream::IngestStream(std::string key, Program program, Topology topology,
     engine_->add_link(link.a, link.b, link.delay);
   }
   engine_->add_observer(recorder_.get());
-  metrics_observer_ = std::make_unique<MetricsObserver>(engine_->metrics());
-  engine_->add_observer(metrics_observer_.get());
 }
 
 std::size_t IngestStream::append_text(std::string_view text) {
@@ -113,17 +108,13 @@ void IngestStream::feed_live(const LogRecord& record) {
   // consequences with time < t are settled, then schedule at t. The
   // external seq band orders this event before any equal-time derivation.
   // Only advance when the engine is actually behind: a run of same-time
-  // appends then stays queued and drains through the engine's batched
-  // execution path in one sweep (at the next advance or snapshot), instead
-  // of paying a run_until + metrics publish per append.
+  // appends then stays queued and drains in one run_until (at the next
+  // advance or snapshot), instead of paying a run_until + metrics publish
+  // per append.
   if (record.time > 0 && engine_->now() < record.time - 1) {
     engine_->run_until(record.time - 1);
   }
-  if (record.op == LogRecord::Op::kInsert) {
-    engine_->schedule_insert(record.tuple(), record.time);
-  } else {
-    engine_->schedule_delete(record.tuple(), record.time);
-  }
+  schedule_record(*engine_, record);
   quiesced_ = false;
 }
 
@@ -193,7 +184,6 @@ void IngestStream::rebuild_live() {
   ReplayResult result = replay(program_, topology_, log_, {}, options_);
   engine_ = std::move(result.engine);
   recorder_ = std::move(result.recorder);
-  metrics_observer_ = std::move(result.metrics_observer);
   run_.reset();
   stale_live_ = false;
   ++stats_.live_rebuilds;
@@ -264,38 +254,6 @@ void IngestStream::maintain(bool under_pressure) {
   update_resident();
 }
 
-std::unique_ptr<Engine> IngestStream::bootstrap_engine() const {
-  DP_SPAN_CAT("dp.ingest.bootstrap", "ingest");
-  auto engine = std::make_unique<Engine>(program_, options_.engine_config);
-  for (const Topology::Link& link : topology_.links) {
-    engine->add_link(link.a, link.b, link.delay);
-  }
-  LogicalTime restored_at = 0;
-  if (checkpoint_) {
-    restored_at = checkpoint_->captured_at();
-    checkpoint_->schedule_into(*engine, restored_at);
-  }
-  // Suffix: resident segments first, then the open epoch straight from the
-  // retained log. Records at or before the capture point are already inside
-  // the checkpoint's base state.
-  const auto feed = [&](const LogRecord& record) {
-    if (checkpoint_ && record.time <= restored_at) return;
-    if (record.op == LogRecord::Op::kInsert) {
-      engine->schedule_insert(record.tuple(), record.time);
-    } else {
-      engine->schedule_delete(record.tuple(), record.time);
-    }
-  };
-  for (const auto& segment : segments_) {
-    for (const LogRecord& record : segment->log().records()) feed(record);
-  }
-  for (std::size_t i = open_start_; i < log_.size(); ++i) {
-    feed(log_.records()[i]);
-  }
-  engine->run();
-  return engine;
-}
-
 void IngestStream::write_bootstrap(std::ostream& out) const {
   if (checkpoint_) {
     write_checkpoint_block(out, *checkpoint_, checkpoint_epoch_);
@@ -314,8 +272,7 @@ IngestStreamStats IngestStream::stats() const {
 }
 
 void IngestStream::update_resident() {
-  // Graph walk is O(extra edges), so this runs at seal/snapshot/maintenance
-  // granularity, not per append.
+  // Refreshed at seal/snapshot/maintenance granularity, not per append.
   const std::uint64_t graph_bytes = recorder_->graph().resident_bytes();
   const std::uint64_t total = graph_bytes + log_.byte_size() + segment_bytes_;
   resident_bytes_.store(total > 0 ? total : 1, std::memory_order_relaxed);

@@ -136,15 +136,11 @@ class IngestStream {
   /// compaction down to the segment watermark. Caller holds mutex().
   void maintain(bool under_pressure);
 
-  /// Fresh-consumer bootstrap: a new engine restored from the newest
-  /// checkpoint plus the retained segment/open-epoch suffix (state
-  /// reconstruction, same contract as the warm-session checkpoint tier; not
-  /// byte-identical provenance). Runs to quiescence. Caller holds mutex().
-  [[nodiscard]] std::unique_ptr<Engine> bootstrap_engine() const;
-
   /// Writes the bootstrap tier as DPS1 blocks: newest checkpoint (if any)
   /// followed by every resident segment. read_stream_file() decodes it,
-  /// tolerating torn tails. Caller holds mutex().
+  /// tolerating torn tails; a fresh consumer restores from it with
+  /// restore_from_checkpoint (state only, as in the warm-session checkpoint
+  /// tier). Caller holds mutex().
   void write_bootstrap(std::ostream& out) const;
 
   [[nodiscard]] IngestStreamStats stats() const;  // caller holds mutex()
@@ -190,7 +186,6 @@ class IngestStream {
   // the BadRun handed to a diagnosis can alias them (WarmSession-style).
   std::shared_ptr<Engine> engine_;
   std::shared_ptr<ProvenanceRecorder> recorder_;
-  std::unique_ptr<MetricsObserver> metrics_observer_;
   std::shared_ptr<const BadRun> run_;
   /// True between a snapshot's run-to-quiescence and the next append: the
   /// engine may have processed past the watermark.

@@ -18,6 +18,7 @@ void Program::declare(TableDecl decl) {
       throw ProgramError("key column out of range in table " + decl.name);
     }
   }
+  decl.ordinal = tables_.size();
   tables_.emplace(decl.name, std::move(decl));
 }
 

@@ -35,6 +35,9 @@ struct TableDecl {
   // Events (non-materialized tables) trigger rules but are not stored; their
   // EXIST interval is a single instant. Packets are events.
   bool materialized = true;
+  // Position in declaration order, assigned by Program::declare. The runtime
+  // indexes its per-table counters by it.
+  std::size_t ordinal = 0;
 
   [[nodiscard]] bool is_event() const { return !materialized; }
 };

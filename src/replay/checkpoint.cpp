@@ -18,12 +18,6 @@ Checkpoint Checkpoint::capture(const Engine& engine) {
   return checkpoint;
 }
 
-void Checkpoint::schedule_into(Engine& engine, LogicalTime at) const {
-  for (const Tuple& t : tuples_) {
-    engine.schedule_insert(t, at);
-  }
-}
-
 void Checkpoint::serialize(std::ostream& out) const {
   EventLog log;
   for (const Tuple& t : tuples_) {

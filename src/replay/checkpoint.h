@@ -2,12 +2,12 @@
 // along with some checkpoints, so that the system state at any point in the
 // past can be efficiently reconstructed").
 //
-// A checkpoint captures all *base* tuples live at capture time; restoring
-// re-injects them into a fresh engine, whose derivation rules reconverge to
-// the same derived state deterministically. Replaying the log suffix after
-// the checkpoint then reconstructs any later point, without paying for the
-// full history. The ablation bench compares suffix-replay-from-checkpoint
-// against full replay.
+// A checkpoint captures all *base* tuples live at capture time;
+// restore_from_checkpoint (replay_engine.h) re-injects them into a fresh
+// engine, whose derivation rules reconverge to the same derived state
+// deterministically, and replays the log suffix after the checkpoint. That
+// reconstructs any later point without paying for the full history. The
+// ablation bench compares suffix-replay-from-checkpoint against full replay.
 #pragma once
 
 #include <iosfwd>
@@ -22,9 +22,6 @@ class Checkpoint {
   /// Captures every live base tuple of `engine` (derived state is excluded:
   /// it is a deterministic function of base state and reconverges).
   static Checkpoint capture(const Engine& engine);
-
-  /// Schedules all captured tuples into `engine` at time `at`.
-  void schedule_into(Engine& engine, LogicalTime at) const;
 
   [[nodiscard]] const std::vector<Tuple>& base_tuples() const {
     return tuples_;

@@ -32,16 +32,9 @@ ReplayResult replay(const Program& program, const Topology& topology,
     result.engine->add_link(link.a, link.b, link.delay);
   }
   result.engine->add_observer(result.recorder.get());
-  result.metrics_observer =
-      std::make_unique<MetricsObserver>(result.engine->metrics());
-  result.engine->add_observer(result.metrics_observer.get());
 
   for (const LogRecord& record : log.records()) {
-    if (record.op == LogRecord::Op::kInsert) {
-      result.engine->schedule_insert(record.tuple(), record.time);
-    } else {
-      result.engine->schedule_delete(record.tuple(), record.time);
-    }
+    schedule_record(*result.engine, record);
   }
   for (const DeltaOp& op : delta) {
     if (op.kind == DeltaOp::Kind::kInsert) {
@@ -51,11 +44,7 @@ ReplayResult replay(const Program& program, const Topology& topology,
     }
   }
 
-  if (options.until == kTimeInfinity) {
-    result.engine->run();
-  } else {
-    result.engine->run_until(options.until);
-  }
+  result.engine->run();
   // The recorder's graph publishes alongside the engine: into the shared
   // registry when the caller wired one up, else the process-wide one.
   obs::MetricsRegistry& registry = options.engine_config.metrics != nullptr
@@ -63,6 +52,34 @@ ReplayResult replay(const Program& program, const Topology& topology,
                                        : obs::default_registry();
   result.recorder->graph().publish_metrics(registry);
   return result;
+}
+
+std::unique_ptr<Engine> restore_from_checkpoint(const Program& program,
+                                                const Topology& topology,
+                                                const Checkpoint& checkpoint,
+                                                const EventLog& log,
+                                                const EngineConfig& config) {
+  auto engine = std::make_unique<Engine>(program, config);
+  for (const Topology::Link& link : topology.links) {
+    engine->add_link(link.a, link.b, link.delay);
+  }
+  const LogicalTime at = checkpoint.captured_at();
+  for (const Tuple& tuple : checkpoint.base_tuples()) {
+    engine->schedule_insert(tuple, at);
+  }
+  for (const LogRecord& record : log.records()) {
+    if (record.time > at) schedule_record(*engine, record);
+  }
+  engine->run();
+  return engine;
+}
+
+void schedule_record(Engine& engine, const LogRecord& record) {
+  if (record.op == LogRecord::Op::kInsert) {
+    engine.schedule_insert(record.tuple(), record.time);
+  } else {
+    engine.schedule_delete(record.tuple(), record.time);
+  }
 }
 
 }  // namespace dp

@@ -7,6 +7,10 @@
 // forward" operation of section 4.6, realized as replay (the clone never
 // touches the running system). Delta operations are applied "shortly before
 // they are needed": the caller sets each op's time.
+//
+// `restore_from_checkpoint` is the cheaper rebuild of section 4.8's "log of
+// tuple updates along with some checkpoints": state only, from a base-state
+// snapshot plus the log after it.
 #pragma once
 
 #include <functional>
@@ -14,9 +18,9 @@
 #include <vector>
 
 #include "provenance/recorder.h"
+#include "replay/checkpoint.h"
 #include "replay/event_log.h"
 #include "runtime/engine.h"
-#include "runtime/metrics_observer.h"
 
 namespace dp {
 
@@ -52,9 +56,6 @@ struct Topology {
 struct ReplayResult {
   std::unique_ptr<Engine> engine;
   std::unique_ptr<ProvenanceRecorder> recorder;
-  /// Per-table activity counters (dp.runtime.table.*), published into the
-  /// engine's metrics registry; kept alive alongside the observing engine.
-  std::unique_ptr<MetricsObserver> metrics_observer;
 
   [[nodiscard]] const ProvenanceGraph& graph() const {
     return recorder->graph();
@@ -65,8 +66,6 @@ struct ReplayOptions {
   /// Selective reconstruction: record provenance only for tuples passing
   /// this filter (see ProvenanceRecorder::set_filter).
   std::function<bool(const Tuple&)> provenance_filter;
-  /// Stop the replay at this logical time (default: run to quiescence).
-  LogicalTime until = kTimeInfinity;
   EngineConfig engine_config;
 };
 
@@ -75,5 +74,19 @@ struct ReplayOptions {
 ReplayResult replay(const Program& program, const Topology& topology,
                     const EventLog& log, const Delta& delta = {},
                     const ReplayOptions& options = {});
+
+/// Restores a fresh engine from `checkpoint` plus the records of `log` after
+/// its capture time (earlier ones are inside the checkpoint), run to
+/// quiescence. Records state only, no provenance: derived tuples reconverge
+/// at re-based times, so a caller that needs the original vertex times
+/// replays instead.
+std::unique_ptr<Engine> restore_from_checkpoint(const Program& program,
+                                                const Topology& topology,
+                                                const Checkpoint& checkpoint,
+                                                const EventLog& log,
+                                                const EngineConfig& config = {});
+
+/// Schedules one log record into `engine` at the record's time.
+void schedule_record(Engine& engine, const LogRecord& record);
 
 }  // namespace dp

@@ -63,6 +63,18 @@ Engine::Engine(Program program, EngineConfig config)
     rule_metric_names_.push_back("dp.runtime.rule_firings." +
                                  obs::sanitize_metric_segment(rule.name));
   }
+  static constexpr const char* kActionNames[kTableActions] = {
+      "inserts", "deletes", "derives", "underives"};
+  table_metric_names_.resize(program_.tables().size() * kTableActions);
+  for (const auto& [name, decl] : program_.tables()) {
+    for (std::size_t action = 0; action < kTableActions; ++action) {
+      table_metric_names_[decl.ordinal * kTableActions + action] =
+          "dp.runtime.table." + obs::sanitize_metric_segment(name) + "." +
+          kActionNames[action];
+    }
+  }
+  table_counts_.assign(table_metric_names_.size(), 0);
+  table_counts_published_.assign(table_metric_names_.size(), 0);
   fire_sketch_ = &metrics_->sketch("dp.runtime.rule_fire_us");
 }
 
@@ -280,6 +292,7 @@ void Engine::process_insert(const Event& event) {
       // displaced row may legitimately be absent from the store (recorded
       // with no observers attached); then nothing can reference it either.
       ++stats_.base_deletes;
+      count(decl, kDeletes);
       const TupleRef displaced_ref =
           notify ? intern_tuple(*result.displaced)
                  : global_store().find(*result.displaced);
@@ -294,10 +307,11 @@ void Engine::process_insert(const Event& event) {
   }
 
   // Notify observers and maintain support bookkeeping. Tuples are interned
-  // once here; every observer (recorder, event log, metrics) and the support
-  // maps share the resulting refs.
+  // once here; every observer (recorder, event log) and the support maps
+  // share the resulting refs.
   if (is_base) {
     ++stats_.base_inserts;
+    count(decl, kInserts);
     if (notify) {
       const TupleRef ref = intern_tuple(tuple);
       for (RuntimeObserver* obs : observers_) {
@@ -306,6 +320,7 @@ void Engine::process_insert(const Event& event) {
     }
   } else {
     ++stats_.derivations;
+    count(decl, kDerives);
     // Derivations triggered by an event tuple are one-shot: the event is
     // gone the instant after, so the head is a fact about something that
     // happened (e.g. "this packet was delivered") and is not subject to
@@ -373,6 +388,7 @@ void Engine::process_delete(const Tuple& tuple, LogicalTime t) {
     return;
   }
   ++stats_.base_deletes;
+  count(table.decl(), kDeletes);
   const TupleRef ref = observers_.empty() ? global_store().find(tuple)
                                           : intern_tuple(tuple);
   for (RuntimeObserver* obs : observers_) {
@@ -409,6 +425,7 @@ void Engine::retract_dependents_of(TupleRef tuple, LogicalTime t) {
     Table& head_table = table_for(head);
     if (!head_table.remove(head, t)) continue;
     ++stats_.underivations;
+    count(head_table.decl(), kUnderives);
     for (RuntimeObserver* obs : observers_) {
       obs->on_underive(record.head, record.rule, tuple, t);
     }
@@ -834,7 +851,7 @@ void Engine::publish_metrics() {
   // registry, so a shared registry (EngineConfig::metrics) aggregates
   // correctly across engines and repeated runs.
   const auto publish =
-      [this](const char* name, std::uint64_t cur, std::uint64_t& seen) {
+      [this](const auto& name, std::uint64_t cur, std::uint64_t& seen) {
         if (cur > seen) {
           metrics_->counter(name).inc(cur - seen);
           seen = cur;
@@ -859,11 +876,12 @@ void Engine::publish_metrics() {
   publish("dp.runtime.tuples_matched", stats_.tuples_matched,
           published_.tuples_matched);
   for (std::size_t i = 0; i < rule_firings_.size(); ++i) {
-    if (rule_firings_[i] > rule_firings_published_[i]) {
-      metrics_->counter(rule_metric_names_[i])
-          .inc(rule_firings_[i] - rule_firings_published_[i]);
-      rule_firings_published_[i] = rule_firings_[i];
-    }
+    publish(rule_metric_names_[i], rule_firings_[i],
+            rule_firings_published_[i]);
+  }
+  for (std::size_t i = 0; i < table_counts_.size(); ++i) {
+    publish(table_metric_names_[i], table_counts_[i],
+            table_counts_published_[i]);
   }
   for (const auto& [node, count] : remote_by_node_) {
     std::uint64_t& seen = remote_by_node_published_[node];
@@ -886,6 +904,8 @@ void Engine::reset_stats() {
   published_ = Stats{};
   std::fill(rule_firings_.begin(), rule_firings_.end(), 0);
   std::fill(rule_firings_published_.begin(), rule_firings_published_.end(), 0);
+  std::fill(table_counts_.begin(), table_counts_.end(), 0);
+  std::fill(table_counts_published_.begin(), table_counts_published_.end(), 0);
   remote_by_node_.clear();
   remote_by_node_published_.clear();
   queue_depth_max_ = queue_.size();

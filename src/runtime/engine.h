@@ -140,11 +140,11 @@ class Engine {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Zeroes the engine's counters -- the Stats façade, the per-rule firing
-  /// counts, the per-node remote-message counts and the queue-depth
-  /// high-water mark -- so repeated scenario runs on one engine start from
-  /// zero. An engine-private registry is reset too; in a shared registry
-  /// (EngineConfig::metrics) the cumulative totals are left alone and only
-  /// this engine's future contributions restart.
+  /// counts, the per-table activity counts, the per-node remote-message
+  /// counts and the queue-depth high-water mark -- so repeated scenario runs
+  /// on one engine start from zero. An engine-private registry is reset too;
+  /// in a shared registry (EngineConfig::metrics) the cumulative totals are
+  /// left alone and only this engine's future contributions restart.
   void reset_stats();
 
   /// The registry this engine publishes into (after syncing pending
@@ -251,6 +251,14 @@ class Engine {
   [[nodiscard]] LogicalTime delivery_delay(const NodeName& from,
                                            const NodeName& to) const;
 
+  // The per-table split of Stats' four tuple counters, published as
+  // dp.runtime.table.<table>.<action>.
+  enum TableAction : std::uint8_t { kInserts, kDeletes, kDerives, kUnderives };
+  static constexpr std::size_t kTableActions = 4;
+  void count(const TableDecl& decl, TableAction action) {
+    ++table_counts_[decl.ordinal * kTableActions + action];
+  }
+
   /// Syncs the gap between the hot-path counters and what the registry has
   /// already seen (delta-publish, so a shared registry aggregates correctly
   /// across engines and repeated runs).
@@ -293,6 +301,11 @@ class Engine {
   Stats published_;
   std::vector<std::uint64_t> rule_firings_;
   std::vector<std::uint64_t> rule_firings_published_;
+  // kTableActions counters per table, at TableDecl::ordinal * kTableActions
+  // + action, with their metric names at the same index.
+  std::vector<std::uint64_t> table_counts_;
+  std::vector<std::uint64_t> table_counts_published_;
+  std::vector<std::string> table_metric_names_;
   std::map<NodeName, std::uint64_t> remote_by_node_;
   std::map<NodeName, std::uint64_t> remote_by_node_published_;
   // Precomputed per-rule labels so the firing hot path never concatenates:

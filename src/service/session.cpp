@@ -32,7 +32,6 @@ std::shared_ptr<const BadRun> WarmSession::ensure_warm() {
       replay(problem_.program, problem_.topology, problem_.log, {}, options_);
   engine_ = std::move(replayed.engine);
   recorder_ = std::move(replayed.recorder);
-  metrics_observer_ = std::move(replayed.metrics_observer);
 
   auto run = std::make_shared<BadRun>();
   // Alias the recorder's graph: the shared_ptr keeps the recorder alive for
@@ -44,7 +43,7 @@ std::shared_ptr<const BadRun> WarmSession::ensure_warm() {
 
   // First warm-up doubles as checkpoint time: the engine is quiescent here,
   // so the snapshot covers the whole recorded history and probe restores
-  // replay an empty (or truncated-run) suffix.
+  // replay an empty suffix.
   if (!checkpoint_) checkpoint_ = Checkpoint::capture(*engine_);
 
   // Measure what this warm run actually costs to keep resident: the columnar
@@ -60,7 +59,6 @@ std::shared_ptr<const BadRun> WarmSession::ensure_warm() {
 void WarmSession::cool() {
   if (run_ == nullptr && probe_engine_ == nullptr) return;
   run_.reset();
-  metrics_observer_.reset();
   recorder_.reset();
   engine_.reset();
   probe_engine_.reset();
@@ -74,42 +72,19 @@ bool WarmSession::probe_live(const Tuple& tuple) {
   if (engine_ != nullptr) return engine_->is_live(tuple);
   if (probe_engine_ != nullptr) return probe_engine_->is_live(tuple);
   if (checkpoint_) {
-    probe_engine_ = restore_from_checkpoint();
+    DP_SPAN_CAT("dp.service.session.checkpoint_restore", "service");
+    ++stats_.checkpoint_restores;
+    registry_->counter("dp.service.session.checkpoint_restores").inc();
+    probe_engine_ =
+        restore_from_checkpoint(problem_.program, problem_.topology,
+                                *checkpoint_, problem_.log,
+                                options_.engine_config);
     return probe_engine_->is_live(tuple);
   }
   // Never queried, so no checkpoint exists yet: warm up fully (this also
   // captures the checkpoint for the session's later cooled life).
   ensure_warm();
   return engine_->is_live(tuple);
-}
-
-std::unique_ptr<Engine> WarmSession::restore_from_checkpoint() {
-  DP_SPAN_CAT("dp.service.session.checkpoint_restore", "service");
-  ++stats_.checkpoint_restores;
-  registry_->counter("dp.service.session.checkpoint_restores").inc();
-
-  auto engine =
-      std::make_unique<Engine>(problem_.program, options_.engine_config);
-  for (const auto& link : problem_.topology.links) {
-    engine->add_link(link.a, link.b, link.delay);
-  }
-  checkpoint_->schedule_into(*engine, checkpoint_->captured_at());
-  // Log suffix after the capture point (empty when the checkpoint was taken
-  // at quiescence; non-empty when options_.until truncated the warm run).
-  for (const auto& record : problem_.log.records()) {
-    if (record.time <= checkpoint_->captured_at()) continue;
-    if (record.op == LogRecord::Op::kInsert) {
-      engine->schedule_insert(record.tuple(), record.time);
-    } else {
-      engine->schedule_delete(record.tuple(), record.time);
-    }
-  }
-  if (options_.until == kTimeInfinity) {
-    engine->run();
-  } else {
-    engine->run_until(options_.until);
-  }
-  return engine;
 }
 
 std::string inline_session_key(const std::string& program_text,

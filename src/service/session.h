@@ -91,8 +91,6 @@ class WarmSession {
   [[nodiscard]] const SessionStats& stats() const { return stats_; }
 
  private:
-  std::unique_ptr<Engine> restore_from_checkpoint();
-
   std::string key_;
   Problem problem_;
   ReplayOptions options_;
@@ -103,7 +101,6 @@ class WarmSession {
   // Resident tier: the first query's replay, kept alive for reuse.
   std::shared_ptr<Engine> engine_;
   std::shared_ptr<ProvenanceRecorder> recorder_;
-  std::unique_ptr<MetricsObserver> metrics_observer_;
   std::shared_ptr<const BadRun> run_;
   // Cheap tier: base-state snapshot at quiescence + restored probe engine.
   std::optional<Checkpoint> checkpoint_;

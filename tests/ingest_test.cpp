@@ -343,10 +343,24 @@ TEST(IngestStream, BootstrapFromCheckpointMatchesBatchBaseState) {
   stream.seal();
   ASSERT_GT(stream.stats().checkpoints, 0u);
 
-  // The bootstrap contract is state reconstruction (the warm-session
-  // checkpoint tier's contract): checkpoint + segment suffix + open epoch
-  // must land on the same base state as replaying the whole history.
-  const std::unique_ptr<Engine> booted = stream.bootstrap_engine();
+  // A fresh consumer decodes the bootstrap tier and restores from it. The
+  // contract is state reconstruction (the warm-session checkpoint tier's):
+  // checkpoint + segment suffix must land on the same base state as
+  // replaying the whole history.
+  std::ostringstream out;
+  stream.write_bootstrap(out);
+  std::istringstream in(out.str());
+  const StreamFile file = read_stream_file(in);
+  ASSERT_TRUE(file.checkpoint.has_value());
+  EventLog suffix;
+  for (const LogSegment& segment : file.segments) {
+    for (const LogRecord& record : segment.log().records()) {
+      suffix.append(record);
+    }
+  }
+  ASSERT_GT(suffix.records().back().time, file.checkpoint->captured_at());
+  const std::unique_ptr<Engine> booted = restore_from_checkpoint(
+      problem.program, problem.topology, *file.checkpoint, suffix);
   ReplayResult batch =
       replay(problem.program, problem.topology, problem.log, {}, {});
   EXPECT_EQ(base_table_rows(*booted, problem.program),

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "ndlog/parser.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
 #include "service/bounded_queue.h"
@@ -494,6 +495,36 @@ TEST(SessionManager, GenerousByteBudgetKeepsTheWarmSetResident) {
   }
   EXPECT_EQ(registry.counter("dp.service.session.evictions").value(), 0u);
   EXPECT_EQ(manager.warm_bytes(), a->resident_bytes() + b->resident_bytes());
+}
+
+TEST(WarmSession, CooledProbesRestoreFromTheCheckpoint) {
+  obs::MetricsRegistry registry;
+  std::ostringstream err;
+  std::optional<Problem> problem = builtin_scenario("sdn1", err);
+  ASSERT_TRUE(problem.has_value()) << err.str();
+  WarmSession session("sdn1", std::move(*problem), ReplayOptions{}, registry);
+  const Tuple present =
+      parse_tuple("policyRoute(@ctl, \"sw2\", 100, 4.3.2.0/24, \"sw6\")");
+  const Tuple absent =
+      parse_tuple("policyRoute(@ctl, \"sw2\", 100, 9.9.9.0/24, \"sw6\")");
+
+  std::lock_guard<std::mutex> lock(session.mutex());
+  session.ensure_warm();
+  const bool warm_present = session.probe_live(present);
+  const bool warm_absent = session.probe_live(absent);
+  EXPECT_TRUE(warm_present);
+  EXPECT_FALSE(warm_absent);
+
+  // Cooled, the session answers from checkpoint + log suffix: the same
+  // answers, one restore shared by both probes, and no second replay.
+  session.cool();
+  EXPECT_EQ(session.probe_live(present), warm_present);
+  EXPECT_EQ(session.probe_live(absent), warm_absent);
+  EXPECT_FALSE(session.is_warm());
+  EXPECT_EQ(session.stats().checkpoint_restores, 1u);
+  EXPECT_EQ(session.stats().cold_replays, 1u);
+  EXPECT_EQ(registry.counter("dp.service.session.checkpoint_restores").value(),
+            1u);
 }
 
 TEST(Service, BypassCacheAlwaysRuns) {
