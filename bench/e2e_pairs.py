@@ -19,6 +19,12 @@ of the median, and two verdicts:
     differ by more than the parent's interquartile distance;
   * `within_bound`: the change's median is no worse than the parent's by more
     than the metric's bound.
+Per workload it also records `failed_share`, each side's failed/attempted
+share over all its runs with the verdict `no_higher` (the change's share is
+no higher than the parent's), and, where the runs print per-scenario lines
+(`cold`'s `  SDN1 n=.. median .. ms mean .. ms`), each run's scenario medians
+plus `scenarios`, the median over runs of each scenario's median per side,
+so a claim shows which scenario families moved.
 Each side's `commit` is what its runs report: the git commit of a checkout,
 or `src-<hash>` of src/ and perfbench/ for a copy outside git.
 
@@ -30,16 +36,32 @@ only; build output and the runs' own logs go to standard error.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCENARIO_LINE = re.compile(
+    r"^\s+(\S+)\s+n=(\d+)\s+median\s+([\d.]+) ms\s+mean\s+([\d.]+) ms$")
+
+
+def scenario_lines(lines):
+    """{scenario: {n, median_ms, mean_ms}} from a run's per-scenario lines."""
+    out = {}
+    for line in lines:
+        m = SCENARIO_LINE.match(line)
+        if m:
+            out[m.group(1)] = {"n": int(m.group(2)),
+                               "median_ms": float(m.group(3)),
+                               "mean_ms": float(m.group(4))}
+    return out
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One untraced run; returns (environment, result) from its stdout."""
+    """One untraced run; returns (environment, scenario lines, result) from
+    its stdout."""
     command = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
@@ -51,7 +73,7 @@ def run_once(checkout, workload, seed, seconds):
     lines = out.stdout.strip().splitlines()
     env = next((json.loads(l.split(" ", 1)[1]) for l in lines
                 if l.startswith("environment ")), {})
-    return env, json.loads(lines[-1])
+    return env, scenario_lines(lines), json.loads(lines[-1])
 
 
 def quartiles(values):
@@ -135,13 +157,16 @@ def main():
             pair_index += 1
             for side in order:
                 start = time.monotonic()
-                env, result = run_once(sides[side], workload, seed, seconds)
+                env, scenarios, result = run_once(sides[side], workload, seed,
+                                                  seconds)
                 report["commits"][side] = env.get("commit", "unknown")
-                runs[workload][side].append(
-                    {"seed": seed, "attempted": result["attempted"],
-                     "failed": result["failed"],
-                     "metrics": {k: v["value"]
-                                 for k, v in result["metrics"].items()}})
+                run = {"seed": seed, "attempted": result["attempted"],
+                       "failed": result["failed"],
+                       "metrics": {k: v["value"]
+                                   for k, v in result["metrics"].items()}}
+                if scenarios:
+                    run["scenarios"] = scenarios
+                runs[workload][side].append(run)
                 print(f"e2e_pairs: {workload} seed {seed} {side} "
                       f"({time.monotonic() - start:.0f} s)", file=sys.stderr)
             report["workloads"][workload] = summarize_workload(
@@ -155,11 +180,45 @@ def main():
         f.write("\n")
 
 
+def failed_share(side_runs):
+    """Each side's failed/attempted share over all its runs, and whether the
+    change's is no higher than the parent's."""
+    share = {}
+    for side in ("parent", "change"):
+        attempted = sum(r["attempted"] for r in side_runs[side])
+        failed = sum(r["failed"] for r in side_runs[side])
+        share[side] = failed / attempted if attempted else 0.0
+    share["no_higher"] = share["change"] <= share["parent"]
+    return share
+
+
+def scenario_summary(side_runs):
+    """Per scenario: the median over runs of its per-run median, per side,
+    and the relative change."""
+    names = sorted({name for side in ("parent", "change")
+                    for r in side_runs[side] for name in r.get("scenarios", {})})
+    out = {}
+    for name in names:
+        medians = {side: [r["scenarios"][name]["median_ms"]
+                          for r in side_runs[side]
+                          if name in r.get("scenarios", {})]
+                   for side in ("parent", "change")}
+        if not medians["parent"] or not medians["change"]:
+            continue
+        parent = statistics.median(medians["parent"])
+        change = statistics.median(medians["change"])
+        out[name] = {"parent_median_ms": parent, "change_median_ms": change,
+                     "median_delta_frac":
+                         round((change - parent) / (parent or 1.0), 4)}
+    return out
+
+
 def summarize_workload(spec, side_runs):
     out = {"pairs": len(side_runs["parent"]),
            "seeds": [r["seed"] for r in side_runs["parent"]],
            "failed": {side: [r["failed"] for r in side_runs[side]]
                       for side in ("parent", "change")},
+           "failed_share": failed_share(side_runs),
            "metrics": {}}
     for metric in spec["end_to_end"]:
         name = metric["name"]
@@ -167,6 +226,9 @@ def summarize_workload(spec, side_runs):
                   for side in ("parent", "change")}
         out["metrics"][name] = summarize(metric, values["parent"],
                                          values["change"])
+    scenarios = scenario_summary(side_runs)
+    if scenarios:
+        out["scenarios"] = scenarios
     return out
 
 

@@ -72,8 +72,20 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
   const MapperInfo mapper = mapper_info(config.mapper_version);
   const Corpus& corpus = store.corpus();
 
+  // Report mode interns each tuple once and reports it by ref: the job's
+  // constant tuples and each input line feed many derivations, which must
+  // not re-hash them.
+  ProvenanceRecorder* const recorder = options.recorder;
+  const auto intern = [recorder](const Tuple& t) {
+    return recorder != nullptr ? intern_tuple(t) : kNoTupleRef;
+  };
+  const auto rule_name = [recorder](const std::string& name) {
+    return recorder != nullptr ? intern_name(name) : kNoName;
+  };
   auto report_base = [&](const Tuple& t, LogicalTime at, bool event = false) {
-    if (options.recorder != nullptr) options.recorder->report_base(t, at, event);
+    const TupleRef ref = intern(t);
+    if (recorder != nullptr) recorder->on_base_insert(ref, at, event);
+    return ref;
   };
   auto log_metadata = [&](const Tuple& t, LogicalTime at) {
     if (options.metadata_log != nullptr) options.metadata_log->append_insert(t, at);
@@ -84,36 +96,35 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
       make("jobConfG", {"jt", kReducesKey, config.num_reducers});
   const Tuple global_code =
       make("mapperCodeG", {"jt", mapper.checksum, mapper.start});
-  report_base(global_conf, 0);
+  const TupleRef global_conf_ref = report_base(global_conf, 0);
   log_metadata(global_conf, 0);
-  report_base(global_code, 1);
+  const TupleRef global_code_ref = report_base(global_code, 1);
   log_metadata(global_code, 1);
 
   // --- per-mapper setup: replicated config/code, conf entries, files -----
   for (std::size_t f = 0; f < corpus.files.size(); ++f) {
     const NodeName m = mapper_node(f);
     const Tuple placement = make("mapperAt", {"jt", m});
-    report_base(placement, 2);
+    const TupleRef placement_ref = report_base(placement, 2);
     log_metadata(placement, 2);
     const Tuple reduces =
         make("jobConf", {m, kReducesKey, config.num_reducers});
     const Tuple code = make("mapperCode", {m, mapper.checksum, mapper.start});
-    if (options.recorder != nullptr) {
-      options.recorder->report_derivation(reduces, "jc",
-                                          {global_conf, placement}, 1, 10);
-      options.recorder->report_derivation(code, "mc",
-                                          {global_code, placement}, 1, 10);
+    if (recorder != nullptr) {
+      recorder->report_derivation(intern(reduces), rule_name("jc"),
+                                  {global_conf_ref, placement_ref}, 1, 10);
+      recorder->report_derivation(intern(code), rule_name("mc"),
+                                  {global_code_ref, placement_ref}, 1, 10);
     }
     if (options.facts != nullptr) {
       options.facts->emplace(reduces, 10);
       options.facts->emplace(code, 10);
     }
-    std::vector<Tuple> confdeps;
+    std::vector<TupleRef> confdeps;
     for (int i = 0; i < config.model.conf_deps; ++i) {
-      Tuple dep = make("confDep", {m, conf_key(i), conf_value(i)});
-      report_base(dep, 2);
+      const Tuple dep = make("confDep", {m, conf_key(i), conf_value(i)});
+      confdeps.push_back(report_base(dep, 2));
       log_metadata(dep, 2);
-      confdeps.push_back(std::move(dep));
     }
     // Input-file identity: recompute the checksum per read unless cached
     // (section 6.4's dominating cost / optimization).
@@ -133,29 +144,37 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
     // jobSetup: the digest over all config entries the job reads.
     const Tuple setup =
         make("jobSetup", {m, setup_digest(config.model.conf_deps)});
-    if (options.recorder != nullptr) {
-      options.recorder->report_derivation(setup, "js", confdeps,
-                                          confdeps.size() - 1, 5);
+    if (recorder != nullptr) {
+      recorder->report_derivation(intern(setup), rule_name("js"), confdeps,
+                                  confdeps.size() - 1, 5);
     }
     if (options.facts != nullptr) options.facts->emplace(setup, 5);
   }
 
   // --- map + shuffle ------------------------------------------------------
+  std::vector<NameRef> map_rules;
+  for (int slot = 0; slot < config.model.slots; ++slot) {
+    map_rules.push_back(rule_name("m" + std::to_string(slot)));
+  }
+  const NameRef shuffle_rule = rule_name("sh");
+  const NameRef count_rule = rule_name("c1");
   std::size_t global_line = 0;
   for (std::size_t f = 0; f < corpus.files.size(); ++f) {
     const CorpusFile& file = corpus.files[f];
     const NodeName m = mapper_node(f);
-    const Tuple code = make("mapperCode", {m, mapper.checksum, mapper.start});
-    const Tuple file_id = make("fileIn", {m, file.name, file.checksum});
-    const Tuple reduces =
-        make("jobConf", {m, kReducesKey, config.num_reducers});
-    const Tuple setup =
-        make("jobSetup", {m, setup_digest(config.model.conf_deps)});
+    const TupleRef code =
+        intern(make("mapperCode", {m, mapper.checksum, mapper.start}));
+    const TupleRef file_id =
+        intern(make("fileIn", {m, file.name, file.checksum}));
+    const TupleRef reduces =
+        intern(make("jobConf", {m, kReducesKey, config.num_reducers}));
+    const TupleRef setup =
+        intern(make("jobSetup", {m, setup_digest(config.model.conf_deps)}));
 
     for (std::size_t l = 0; l < file.lines.size(); ++l, ++global_line) {
       const LogicalTime lt = line_time(global_line);
-      const Tuple line = line_tuple(m, file, l);
-      report_base(line, lt, /*is_event=*/true);
+      const TupleRef line =
+          report_base(line_tuple(m, file, l), lt, /*is_event=*/true);
       ++output.lines;
 
       const std::vector<std::string> words = tokenize(file.lines[l]);
@@ -165,13 +184,14 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
         if (index >= words.size()) break;
         const std::string& word = words[index];
         const LogicalTime et = lt + 1 + slot;
-        const Tuple emit =
+        const TupleRef emit = intern(
             make("mapEmit", {m, file.name, static_cast<std::int64_t>(l),
-                             slot, word});
-        if (options.recorder != nullptr) {
-          options.recorder->report_derivation(
-              emit, "m" + std::to_string(slot), {line, file_id, code}, 0, et,
-              /*is_event=*/true);
+                             slot, word}));
+        if (recorder != nullptr) {
+          recorder->report_derivation(emit,
+                                      map_rules[static_cast<std::size_t>(slot)],
+                                      {line, file_id, code}, 0, et,
+                                      /*is_event=*/true);
         }
         ++output.emissions;
 
@@ -179,10 +199,10 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
         const std::string reducer = "rd" + std::to_string(p);
         const Tuple shuffled = word_at_tuple(reducer, word, file.name, l,
                                              slot);
-        if (options.recorder != nullptr) {
-          options.recorder->report_derivation(shuffled, "sh",
-                                              {emit, reduces, setup}, 0,
-                                              et + 10);
+        const TupleRef shuffled_ref = intern(shuffled);
+        if (recorder != nullptr) {
+          recorder->report_derivation(shuffled_ref, shuffle_rule,
+                                      {emit, reduces, setup}, 0, et + 10);
         }
         if (options.facts != nullptr) {
           options.facts->emplace(shuffled, et + 10);
@@ -194,16 +214,16 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
         const int new_count = ++output.counts[reducer][word];
         const Tuple count_tuple =
             make("wordCount", {reducer, word, new_count});
-        if (options.recorder != nullptr) {
-          std::vector<Tuple> chain = {shuffled};
+        if (recorder != nullptr) {
+          std::vector<TupleRef> chain = {shuffled_ref};
           if (new_count > 1) {
-            const Tuple previous =
-                make("wordCount", {reducer, word, new_count - 1});
-            options.recorder->report_delete(previous, et + 11);
+            const TupleRef previous =
+                intern(make("wordCount", {reducer, word, new_count - 1}));
+            recorder->on_base_delete(previous, et + 11);
             chain.push_back(previous);
           }
-          options.recorder->report_derivation(count_tuple, "c1", chain, 0,
-                                              et + 11);
+          recorder->report_derivation(intern(count_tuple), count_rule, chain,
+                                      0, et + 11);
         }
         if (options.facts != nullptr) {
           options.facts->emplace(count_tuple, et + 11);

@@ -21,56 +21,30 @@ std::uint64_t Table::JoinIndex::hash_key(const std::vector<Value>& key) {
   return h;
 }
 
+std::uint32_t Table::JoinIndex::find(std::uint64_t hash,
+                                     const std::vector<Value>& key) const {
+  for (std::uint32_t b = heads.head(ChainHeads::key_of(hash));
+       b != ChainHeads::kNone; b = buckets[b].next) {
+    if (buckets[b].key == key) return b;
+  }
+  return ChainHeads::kNone;
+}
+
 const std::vector<Table::JoinIndex::Entry>* Table::JoinIndex::lookup(
     std::uint64_t hash, const std::vector<Value>& key) const {
-  if (slots.empty()) return nullptr;
-  const std::size_t mask = slots.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const Slot& slot = slots[i];
-    // Slots are never vacated, so an empty slot terminates the probe chain
-    // soundly: the key, had it ever been inserted, would sit before it.
-    if (slot.bucket == kEmptySlot) return nullptr;
-    if (slot.hash == hash) {
-      const Bucket& bucket = buckets[slot.bucket];
-      if (bucket.key == key) {
-        return bucket.entries.empty() ? nullptr : &bucket.entries;
-      }
-    }
-  }
+  const std::uint32_t b = find(hash, key);
+  return b == ChainHeads::kNone || buckets[b].entries.empty()
+             ? nullptr
+             : &buckets[b].entries;
 }
 
 Table::JoinIndex::Bucket& Table::JoinIndex::bucket_for(
     std::uint64_t hash, const std::vector<Value>& key) {
-  // Grow at ~0.7 load (each bucket occupies exactly one slot, forever).
-  if (slots.empty() || (buckets.size() + 1) * 10 >= slots.size() * 7) {
-    rehash_grow();
-  }
-  const std::size_t mask = slots.size() - 1;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    Slot& slot = slots[i];
-    if (slot.bucket == kEmptySlot) {
-      slot.hash = hash;
-      slot.bucket = static_cast<std::uint32_t>(buckets.size());
-      buckets.push_back(Bucket{key, {}});
-      return buckets.back();
-    }
-    if (slot.hash == hash && buckets[slot.bucket].key == key) {
-      return buckets[slot.bucket];
-    }
-  }
-}
-
-void Table::JoinIndex::rehash_grow() {
-  const std::size_t fresh_size = slots.empty() ? 16 : slots.size() * 2;
-  std::vector<Slot> fresh(fresh_size);
-  const std::size_t mask = fresh_size - 1;
-  for (const Slot& old : slots) {
-    if (old.bucket == kEmptySlot) continue;
-    std::size_t i = old.hash & mask;
-    while (fresh[i].bucket != kEmptySlot) i = (i + 1) & mask;
-    fresh[i] = old;
-  }
-  slots.swap(fresh);
+  const std::uint32_t found = find(hash, key);
+  if (found != ChainHeads::kNone) return buckets[found];
+  const auto b = static_cast<std::uint32_t>(buckets.size());
+  buckets.push_back(Bucket{key, {}, heads.push(ChainHeads::key_of(hash), b)});
+  return buckets.back();
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +88,7 @@ void Table::project(const Tuple& t, const ColumnSet& cols,
 
 void Table::index_live_row(LiveMap::const_iterator it) const {
   for (auto& [cols, index] : indexes_) {
-    project(it->second, cols, projection_scratch_);
+    project(it->second.tuple, cols, projection_scratch_);
     auto& entries =
         index
             .bucket_for(JoinIndex::hash_key(projection_scratch_),
@@ -134,7 +108,7 @@ void Table::index_live_row(LiveMap::const_iterator it) const {
 
 void Table::unindex_live_row(LiveMap::const_iterator it) const {
   for (auto& [cols, index] : indexes_) {
-    project(it->second, cols, projection_scratch_);
+    project(it->second.tuple, cols, projection_scratch_);
     auto& entries =
         index
             .bucket_for(JoinIndex::hash_key(projection_scratch_),
@@ -151,42 +125,45 @@ void Table::unindex_live_row(LiveMap::const_iterator it) const {
   }
 }
 
-Table::InsertResult Table::insert(const Tuple& t, LogicalTime now) {
+Table::InsertResult Table::insert(const Tuple& t, LogicalTime now,
+                                  TupleRef ref) {
   InsertResult result;
   key_of(t, key_scratch_);
   auto it = live_.find(key_scratch_);
   if (it != live_.end()) {
-    if (it->second == t) return result;  // identical tuple already live
+    if (it->second.tuple == t) return result;  // identical tuple already live
     // Key collision: displace the current holder (upsert semantics).
-    result.displaced = it->second;
-    auto& intervals = rows_[it->second];
+    auto& intervals = rows_[it->second.tuple];
     assert(!intervals.empty() && intervals.back().open_ended());
     intervals.back().end = now;
     unindex_live_row(it);
+    result.displaced = std::move(it->second);
     live_.erase(it);
   }
   rows_[t].push_back(TimeInterval{now, kTimeInfinity});
-  const auto inserted = live_.emplace(std::move(key_scratch_), t).first;
+  const auto inserted =
+      live_.emplace(std::move(key_scratch_), Row{t, ref}).first;
   index_live_row(inserted);
   result.inserted = true;
   return result;
 }
 
-bool Table::remove(const Tuple& t, LogicalTime now) {
+std::optional<TupleRef> Table::remove(const Tuple& t, LogicalTime now) {
   key_of(t, key_scratch_);
   auto it = live_.find(key_scratch_);
-  if (it == live_.end() || !(it->second == t)) return false;
+  if (it == live_.end() || !(it->second.tuple == t)) return std::nullopt;
   auto& intervals = rows_[t];
   assert(!intervals.empty() && intervals.back().open_ended());
   intervals.back().end = now;
+  const TupleRef ref = it->second.ref;
   unindex_live_row(it);
   live_.erase(it);
-  return true;
+  return ref;
 }
 
 bool Table::is_live(const Tuple& t) const {
   auto it = live_.find(key_of(t, key_scratch_));
-  return it != live_.end() && it->second == t;
+  return it != live_.end() && it->second.tuple == t;
 }
 
 bool Table::existed_at(const Tuple& t, LogicalTime at) const {
@@ -212,9 +189,9 @@ std::vector<TimeInterval> Table::history(const Tuple& t) const {
   return it->second;
 }
 
-void Table::for_each_live(const std::function<void(const Tuple&)>& fn) const {
-  for (const auto& [key, tuple] : live_) {
-    fn(tuple);
+void Table::for_each_live(const std::function<void(const Row&)>& fn) const {
+  for (const auto& [key, row] : live_) {
+    fn(row);
   }
 }
 
@@ -229,7 +206,7 @@ const Table::JoinIndex& Table::index_for(const ColumnSet& cols) const {
     index_it = indexes_.emplace(cols, JoinIndex{}).first;
     JoinIndex& index = index_it->second;
     for (auto it = live_.begin(); it != live_.end(); ++it) {
-      project(it->second, cols, projection_scratch_);
+      project(it->second.tuple, cols, projection_scratch_);
       index
           .bucket_for(JoinIndex::hash_key(projection_scratch_),
                       projection_scratch_)
@@ -241,12 +218,12 @@ const Table::JoinIndex& Table::index_for(const ColumnSet& cols) const {
 
 void Table::for_each_live_matching(
     const ColumnSet& cols, const std::vector<Value>& probe,
-    const std::function<void(const Tuple&)>& fn) const {
+    const std::function<void(const Row&)>& fn) const {
   const JoinIndex& index = index_for(cols);
   const auto* entries = index.lookup(JoinIndex::hash_key(probe), probe);
   if (entries == nullptr) return;
   for (const JoinIndex::Entry& entry : *entries) {
-    fn(*entry.tuple);
+    fn(*entry.row);
   }
 }
 
@@ -266,7 +243,7 @@ std::vector<Tuple> Table::live_snapshot() const {
   std::vector<Tuple> out;
   out.reserve(live_.size());
   // live_ is keyed by projected key; re-sort by full tuple for determinism.
-  for (const auto& [key, tuple] : live_) out.push_back(tuple);
+  for (const auto& [key, row] : live_) out.push_back(row.tuple);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -11,6 +11,11 @@
 // that row (it is deleted at the same timestamp). Event tables (materialized
 // = false) are not stored at all; they exist for a single instant.
 //
+// Live rows keep the TupleRef their tuple was interned under (the engine
+// interns each new tuple once, before inserting it). Join candidates,
+// live_by_key and displaced rows hand that ref back, so a derivation's body
+// is a list of refs the engine already holds -- nothing is re-interned.
+//
 // Secondary join indexes: the runtime's compiled rule plans probe tables by
 // a projection of columns bound at join time (see runtime/plan.h). A table
 // lazily materializes one hash index per distinct bound-column set on first
@@ -30,6 +35,8 @@
 
 #include "ndlog/schema.h"
 #include "ndlog/tuple.h"
+#include "store/refs.h"
+#include "util/chain_heads.h"
 #include "util/time.h"
 
 namespace dp {
@@ -40,32 +47,35 @@ using ColumnSet = std::vector<std::size_t>;
 
 class Table {
  public:
-  /// One secondary index: probe projection -> bucket of live rows, stored as
-  /// an open-addressing hash table (power-of-two slot array, linear
-  /// probing). Slots and buckets are never deleted -- a bucket whose rows
-  /// all die stays behind empty -- so probing needs no tombstones and bucket
-  /// indices stay stable. Entries point into live_ map nodes (stable until
-  /// erase) and stay sorted by the live-map key, i.e. in for_each_live()
-  /// order, which is what keeps indexed joins byte-identical to the
-  /// reference scan.
+  /// A live row: the tuple and the ref it was interned under (kNoTupleRef
+  /// when the caller inserted it without one, e.g. a standalone table).
+  struct Row {
+    Tuple tuple;
+    TupleRef ref = kNoTupleRef;
+  };
+
+  /// One secondary index: probe projection -> bucket of live rows. Buckets
+  /// whose projections share a hash key chain through `next`, and the chain
+  /// heads sit in an open-addressed slot array (util/chain_heads.h).
+  /// Buckets are never deleted -- a bucket whose rows all die stays behind
+  /// empty -- so slots are never vacated and bucket indices stay stable.
+  /// Entries point into live_ map nodes (stable until erase) and stay
+  /// sorted by the live-map key, i.e. in for_each_live() order, which is
+  /// what keeps indexed joins byte-identical to the reference scan.
   struct JoinIndex {
     struct Entry {
       const std::vector<Value>* live_key;
-      const Tuple* tuple;
+      const Row* row;
     };
     struct Bucket {
       std::vector<Value> key;
       std::vector<Entry> entries;
-    };
-    static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
-    struct Slot {
-      std::uint64_t hash = 0;
-      std::uint32_t bucket = kEmptySlot;
+      std::uint32_t next = ChainHeads::kNone;  // older bucket, same hash key
     };
 
     using HashFn = std::uint64_t (*)(const std::vector<Value>&);
     /// Testing hook: replaces the probe-key hash process-wide (e.g. a
-    /// constant, to force every key into one collision cluster). Must be set
+    /// constant, to force every key into one collision chain). Must be set
     /// before the indexes under test are built and reset to nullptr after;
     /// an index probed with a different hash than it was built with is
     /// garbage.
@@ -78,17 +88,19 @@ class Table {
         std::uint64_t hash, const std::vector<Value>& key) const;
 
     // -- maintenance (Table internals; exposed for white-box tests) --
-    /// The bucket for `key`, created empty if absent. May rehash.
+    /// The bucket for `key`, created empty if absent. May grow the slots.
     Bucket& bucket_for(std::uint64_t hash, const std::vector<Value>& key);
 
-    [[nodiscard]] std::size_t slot_count() const { return slots.size(); }
+    [[nodiscard]] std::size_t slot_count() const { return heads.slot_count(); }
     [[nodiscard]] std::size_t bucket_count() const { return buckets.size(); }
 
-    std::vector<Slot> slots;
+    ChainHeads heads;
     std::vector<Bucket> buckets;
 
    private:
-    void rehash_grow();
+    /// Index of the bucket holding `key` in `hash`'s chain, else kNone.
+    [[nodiscard]] std::uint32_t find(std::uint64_t hash,
+                                     const std::vector<Value>& key) const;
     static HashFn hash_override_;
   };
 
@@ -116,16 +128,18 @@ class Table {
   /// Outcome of an insert: whether the tuple was new, and which live tuple
   /// (if any) was displaced by key-based upsert.
   struct InsertResult {
-    bool inserted = false;            // false if the identical tuple was live
-    std::optional<Tuple> displaced;   // key collision victim, already removed
+    bool inserted = false;          // false if the identical tuple was live
+    std::optional<Row> displaced;   // key collision victim, already removed
   };
 
-  /// Starts a validity interval for `t` at `now`. No-op if the identical
-  /// tuple is already live.
-  InsertResult insert(const Tuple& t, LogicalTime now);
+  /// Starts a validity interval for `t`, interned as `ref`, at `now`. No-op
+  /// if the identical tuple is already live.
+  InsertResult insert(const Tuple& t, LogicalTime now,
+                      TupleRef ref = kNoTupleRef);
 
-  /// Ends the live interval of `t` at `now`. Returns false if not live.
-  bool remove(const Tuple& t, LogicalTime now);
+  /// Ends the live interval of `t` at `now`. Returns the removed row's ref,
+  /// or nullopt if `t` was not live.
+  std::optional<TupleRef> remove(const Tuple& t, LogicalTime now);
 
   /// True if `t` is live now (interval still open).
   [[nodiscard]] bool is_live(const Tuple& t) const;
@@ -139,16 +153,16 @@ class Table {
   /// Full interval history of `t` (empty if never seen).
   [[nodiscard]] std::vector<TimeInterval> history(const Tuple& t) const;
 
-  /// Deterministic iteration over live tuples (sorted by key projection).
-  void for_each_live(const std::function<void(const Tuple&)>& fn) const;
+  /// Deterministic iteration over live rows (sorted by key projection).
+  void for_each_live(const std::function<void(const Row&)>& fn) const;
 
-  /// Deterministic iteration over the live tuples whose projection on
-  /// `cols` (sorted column positions, non-empty) equals `probe`, in the same
+  /// Deterministic iteration over the live rows whose projection on `cols`
+  /// (sorted column positions, non-empty) equals `probe`, in the same
   /// relative order as for_each_live(). Materializes the index for `cols` on
   /// first use; insert/remove keep it current afterwards.
   void for_each_live_matching(const ColumnSet& cols,
                               const std::vector<Value>& probe,
-                              const std::function<void(const Tuple&)>& fn) const;
+                              const std::function<void(const Row&)>& fn) const;
 
   /// The secondary index for `cols` (sorted, non-empty), materialized from
   /// the live view on first use and maintained incrementally afterwards.
@@ -180,15 +194,15 @@ class Table {
   const std::vector<Value>& key_of(const Tuple& t,
                                    std::vector<Value>& out) const;
 
-  /// The live tuple holding `key`, if any (aggregation reads the previous
+  /// The live row holding `key`, if any (aggregation reads the previous
   /// value through this).
-  [[nodiscard]] const Tuple* live_by_key(const std::vector<Value>& key) const {
+  [[nodiscard]] const Row* live_by_key(const std::vector<Value>& key) const {
     auto it = live_.find(key);
     return it == live_.end() ? nullptr : &it->second;
   }
 
  private:
-  using LiveMap = std::map<std::vector<Value>, Tuple>;
+  using LiveMap = std::map<std::vector<Value>, Row>;
 
   /// Projection of `t` on `cols` into `out` (cleared first).
   static void project(const Tuple& t, const ColumnSet& cols,

@@ -50,7 +50,10 @@ class ProvenanceRecorder final : public RuntimeObserver {
 
   // --- direct reporting (the "report" / "external specification" modes) ---
   // Tuple-valued: instrumented imperative systems hold real tuples, so these
-  // intern on entry and forward to the ref paths.
+  // intern on entry and forward to the ref paths. A reporter whose tuples
+  // feed many derivations (a job's configuration, an input line) interns
+  // each once instead and reports by ref: the ref-valued report_derivation
+  // below, and on_base_insert / on_base_delete for base facts.
   void report_base(const Tuple& tuple, LogicalTime t, bool is_event = false) {
     on_base_insert(intern_tuple(tuple), t, is_event);
   }
@@ -61,6 +64,12 @@ class ProvenanceRecorder final : public RuntimeObserver {
                          const std::vector<Tuple>& body,
                          std::size_t trigger_index, LogicalTime t,
                          bool is_event = false);
+  void report_derivation(TupleRef head, NameRef rule,
+                         const std::vector<TupleRef>& body,
+                         std::size_t trigger_index, LogicalTime t,
+                         bool is_event = false) {
+    on_derive(head, rule, body, trigger_index, t, is_event);
+  }
 
  private:
   /// The selective-reconstruction filter speaks Tuples (it comes from

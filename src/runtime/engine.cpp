@@ -54,9 +54,16 @@ Engine::Engine(Program program, EngineConfig config)
   const auto& rules = program_.rules();
   rule_firings_.assign(rules.size(), 0);
   rule_firings_published_.assign(rules.size(), 0);
+  rule_facts_.reserve(rules.size());
   rule_span_labels_.reserve(rules.size());
   rule_metric_names_.reserve(rules.size());
   for (const Rule& rule : rules) {
+    RuleFacts facts;
+    facts.name = intern_name(rule.name);
+    for (const BodyAtom& atom : rule.body) {
+      if (program_.table(atom.table).is_event()) facts.event_body = true;
+    }
+    rule_facts_.push_back(facts);
     // Interned once per process: the recorder's scope stack borrows the
     // label's bytes, and a sampler may read them after this engine is gone.
     rule_span_labels_.push_back(resolve_name(intern_name("rule:" + rule.name)));
@@ -128,7 +135,8 @@ std::vector<Tuple> Engine::live_tuples(const std::string& table) const {
   for (const auto& [node, tables] : state_) {
     auto it = tables.find(table);
     if (it == tables.end()) continue;
-    it->second.for_each_live([&out](const Tuple& t) { out.push_back(t); });
+    it->second.for_each_live(
+        [&out](const Table::Row& row) { out.push_back(row.tuple); });
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -241,13 +249,13 @@ void Engine::process(const Event& event) {
 }
 
 void Engine::process_aggregate(const Event& event) {
-  const Rule* rule = program_.find_rule(event.rule);
-  if (rule == nullptr || !rule->agg) return;  // defensive: validated upstream
+  const Rule& rule = program_.rules()[event.rule];
+  if (!rule.agg) return;  // defensive: validated upstream
   // Resolve the aggregate column (the head argument that is the agg var).
   std::size_t agg_index = event.tuple.arity();
-  for (std::size_t i = 0; i < rule->head.args.size(); ++i) {
-    if (rule->head.args[i]->kind == Expr::Kind::kVar &&
-        rule->head.args[i]->var == rule->agg->var) {
+  for (std::size_t i = 0; i < rule.head.args.size(); ++i) {
+    if (rule.head.args[i]->kind == Expr::Kind::kVar &&
+        rule.head.args[i]->var == rule.agg->var) {
       agg_index = i;
       break;
     }
@@ -255,10 +263,10 @@ void Engine::process_aggregate(const Event& event) {
   if (agg_index == event.tuple.arity()) return;
 
   Table& table = table_for(event.tuple);
-  const Tuple* previous = table.live_by_key(table.key_of(event.tuple));
+  const Table::Row* previous = table.live_by_key(table.key_of(event.tuple));
   const std::int64_t old_value =
-      previous != nullptr && previous->at(agg_index).is_int()
-          ? previous->at(agg_index).as_int()
+      previous != nullptr && previous->tuple.at(agg_index).is_int()
+          ? previous->tuple.at(agg_index).as_int()
           : 0;
 
   Event resolved;
@@ -269,7 +277,7 @@ void Engine::process_aggregate(const Event& event) {
   resolved.body = event.body;
   // The previous aggregate value joins the provenance as the tail of the
   // contribution chain.
-  if (previous != nullptr) resolved.body.push_back(*previous);
+  if (previous != nullptr) resolved.body.push_back(previous->ref);
   resolved.tuple =
       event.tuple.with_field(agg_index, Value(old_value + event.agg_delta));
   process_insert(resolved);
@@ -280,81 +288,57 @@ void Engine::process_insert(const Event& event) {
   const TableDecl& decl = program_.table(tuple.table());
   const bool is_base = event.kind == Event::Kind::kBaseInsert;
   const bool is_event = decl.is_event();
+  // The event's one store probe. The row, every observer (recorder, event
+  // log), the support maps and the bodies of the firings this tuple
+  // triggers all share the ref.
+  const TupleRef ref = intern_tuple(tuple);
 
-  const bool notify = !observers_.empty();
   bool newly_appeared = true;
   if (!is_event) {
     Table& table = table_for(tuple);
-    const Table::InsertResult result = table.insert(tuple, event.time);
+    const Table::InsertResult result = table.insert(tuple, event.time, ref);
     if (result.displaced) {
       // Key upsert displaced a live row: observers see its disappearance
-      // first, and its dependents are underived at the same timestamp. The
-      // displaced row may legitimately be absent from the store (recorded
-      // with no observers attached); then nothing can reference it either.
+      // first, and its dependents are underived at the same timestamp.
       ++stats_.base_deletes;
       count(decl, kDeletes);
-      const TupleRef displaced_ref =
-          notify ? intern_tuple(*result.displaced)
-                 : global_store().find(*result.displaced);
+      const TupleRef displaced_ref = result.displaced->ref;
       for (RuntimeObserver* obs : observers_) {
         obs->on_base_delete(displaced_ref, event.time);
       }
-      if (displaced_ref != kNoTupleRef) {
-        retract_dependents_of(displaced_ref, event.time);
-      }
+      retract_dependents_of(displaced_ref, event.time);
     }
     newly_appeared = result.inserted;
   }
 
-  // Notify observers and maintain support bookkeeping. Tuples are interned
-  // once here; every observer (recorder, event log) and the support maps
-  // share the resulting refs.
+  // Notify observers and maintain support bookkeeping.
   if (is_base) {
     ++stats_.base_inserts;
     count(decl, kInserts);
-    if (notify) {
-      const TupleRef ref = intern_tuple(tuple);
-      for (RuntimeObserver* obs : observers_) {
-        obs->on_base_insert(ref, event.time, is_event);
-      }
+    for (RuntimeObserver* obs : observers_) {
+      obs->on_base_insert(ref, event.time, is_event);
     }
   } else {
     ++stats_.derivations;
     count(decl, kDerives);
+    const RuleFacts& rule = rule_facts_[event.rule];
+    for (RuntimeObserver* obs : observers_) {
+      obs->on_derive(ref, rule.name, event.body, event.trigger_index,
+                     event.time, is_event);
+    }
     // Derivations triggered by an event tuple are one-shot: the event is
     // gone the instant after, so the head is a fact about something that
     // happened (e.g. "this packet was delivered") and is not subject to
     // incremental view maintenance. Only derivations whose entire body is
     // materialized state participate in support counting.
-    bool event_triggered = false;
-    for (const Tuple& b : event.body) {
-      if (program_.table(b.table()).is_event()) {
-        event_triggered = true;
-        break;
+    if (!is_event && !rule.event_body) {
+      const std::size_t record_id = records_.size();
+      records_.push_back(DerivRecord{ref, rule.name, true});
+      records_by_head_[ref].push_back(record_id);
+      for (const TupleRef b : event.body) {
+        records_by_body_[b].push_back(record_id);
       }
-    }
-    const bool track_support = !is_event && !event_triggered;
-    if (notify || track_support) {
-      const TupleRef head_ref = intern_tuple(tuple);
-      const NameRef rule_ref = intern_name(event.rule);
-      body_refs_scratch_.clear();
-      body_refs_scratch_.reserve(event.body.size());
-      for (const Tuple& b : event.body) {
-        body_refs_scratch_.push_back(intern_tuple(b));
-      }
-      for (RuntimeObserver* obs : observers_) {
-        obs->on_derive(head_ref, rule_ref, body_refs_scratch_,
-                       event.trigger_index, event.time, is_event);
-      }
-      if (track_support) {
-        const std::size_t record_id = records_.size();
-        records_.push_back(DerivRecord{head_ref, rule_ref, true});
-        records_by_head_[head_ref].push_back(record_id);
-        for (const TupleRef b : body_refs_scratch_) {
-          records_by_body_[b].push_back(record_id);
-        }
-        ++support_[head_ref];
-      }
+      ++support_[ref];
     }
   }
 
@@ -366,7 +350,7 @@ void Engine::process_insert(const Event& event) {
   if (config_.use_join_plans) {
     if (auto it = plans_.find(tuple.table()); it != plans_.end()) {
       for (const RulePlan& plan : it->second) {
-        fire_rule_planned(plan, tuple, event.time);
+        fire_rule_planned(plan, tuple, ref, event.time);
       }
     }
     return;
@@ -375,7 +359,7 @@ void Engine::process_insert(const Event& event) {
     const Rule& rule = program_.rules()[rule_index];
     for (std::size_t i = 0; i < rule.body.size(); ++i) {
       if (rule.body[i].table == tuple.table()) {
-        fire_rule(rule, i, tuple, event.time);
+        fire_rule(rule, i, tuple, ref, event.time);
       }
     }
   }
@@ -383,20 +367,17 @@ void Engine::process_insert(const Event& event) {
 
 void Engine::process_delete(const Tuple& tuple, LogicalTime t) {
   Table& table = table_for(tuple);
-  if (!table.remove(tuple, t)) {
+  const std::optional<TupleRef> ref = table.remove(tuple, t);
+  if (!ref) {
     DP_WARN << "external delete of non-live tuple " << tuple.to_string();
     return;
   }
   ++stats_.base_deletes;
   count(table.decl(), kDeletes);
-  const TupleRef ref = observers_.empty() ? global_store().find(tuple)
-                                          : intern_tuple(tuple);
   for (RuntimeObserver* obs : observers_) {
-    obs->on_base_delete(ref, t);
+    obs->on_base_delete(*ref, t);
   }
-  // Absent from the store means nothing was ever recorded against it, so no
-  // derivation record can reference it either.
-  if (ref != kNoTupleRef) retract_dependents_of(ref, t);
+  retract_dependents_of(*ref, t);
 }
 
 void Engine::retract_dependents_of(TupleRef tuple, LogicalTime t) {
@@ -449,22 +430,27 @@ bool Engine::unify(const BodyAtom& atom, const Tuple& tuple,
 }
 
 void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
-                       const Tuple& arrival, LogicalTime t) {
+                       const Tuple& arrival, TupleRef arrival_ref,
+                       LogicalTime t) {
   const std::size_t rule_index =
       static_cast<std::size_t>(&rule - program_.rules().data());
   FiringScope firing_scope(rule_span_labels_[rule_index], fire_sketch_);
   const NodeName& node = arrival.location();
 
-  // Depth-first join over the remaining body atoms, in body order.
-  std::vector<Bindings> complete;
-  Bindings initial;
-  if (!unify(rule.body[atom_index], arrival, initial)) return;
-
+  // Depth-first join over the remaining body atoms, in body order. A frame
+  // carries the refs of the rows chosen so far, in body order.
   struct Frame {
     std::size_t atom = 0;
     Bindings bindings;
+    std::vector<TupleRef> body;
   };
-  std::vector<Frame> stack = {{0, std::move(initial)}};
+  std::vector<Frame> complete;
+  Frame initial{0, {}, std::vector<TupleRef>(rule.body.size(), kNoTupleRef)};
+  if (!unify(rule.body[atom_index], arrival, initial.bindings)) return;
+  initial.body[atom_index] = arrival_ref;
+
+  std::vector<Frame> stack;
+  stack.push_back(std::move(initial));
   std::vector<std::pair<std::string, Value>> new_bindings;
   while (!stack.empty()) {
     Frame frame = std::move(stack.back());
@@ -472,13 +458,14 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
     // Skip the already-bound trigger atom.
     while (frame.atom == atom_index) ++frame.atom;
     if (frame.atom >= rule.body.size()) {
-      complete.push_back(std::move(frame.bindings));
+      complete.push_back(std::move(frame));
       continue;
     }
     const BodyAtom& atom = rule.body[frame.atom];
     const Table* table = find_table(node, atom.table);
     if (table == nullptr) continue;
-    table->for_each_live([&](const Tuple& candidate) {
+    table->for_each_live([&](const Table::Row& row) {
+      const Tuple& candidate = row.tuple;
       // Two-phase unification: validate against the current bindings and
       // collect the new variable bindings *before* paying for a map copy.
       // With selective rules (e.g. constant join keys) almost every
@@ -512,14 +499,17 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
       for (auto& [var, value] : new_bindings) {
         extended.emplace(std::move(var), std::move(value));
       }
-      stack.push_back({frame.atom + 1, std::move(extended)});
+      std::vector<TupleRef> body = frame.body;
+      body[frame.atom] = row.ref;
+      stack.push_back({frame.atom + 1, std::move(extended), std::move(body)});
     });
   }
   if (complete.empty()) return;
 
   // Assignments and constraints.
-  std::vector<Bindings> satisfying;
-  for (Bindings& bindings : complete) {
+  std::vector<Frame> satisfying;
+  for (Frame& match : complete) {
+    Bindings& bindings = match.bindings;
     bool ok = true;
     try {
       for (const Assignment& assign : rule.assigns) {
@@ -536,7 +526,7 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
       DP_WARN << "rule " << rule.name << ": constraint error: " << e.what();
       ok = false;
     }
-    if (ok) satisfying.push_back(std::move(bindings));
+    if (ok) satisfying.push_back(std::move(match));
   }
   if (satisfying.empty()) return;
 
@@ -544,27 +534,28 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
   // maximizing the declared variable; deterministic tie-break by binding
   // content.
   if (rule.argmax_var) {
-    const Bindings* best = nullptr;
-    for (const Bindings& bindings : satisfying) {
+    const Frame* best = nullptr;
+    for (const Frame& match : satisfying) {
       if (best == nullptr) {
-        best = &bindings;
+        best = &match;
         continue;
       }
-      const Value& current = bindings.at(*rule.argmax_var);
-      const Value& best_value = best->at(*rule.argmax_var);
+      const Value& current = match.bindings.at(*rule.argmax_var);
+      const Value& best_value = best->bindings.at(*rule.argmax_var);
       if (best_value < current ||
-          (!(current < best_value) && bindings < *best)) {
-        best = &bindings;
+          (!(current < best_value) && match.bindings < best->bindings)) {
+        best = &match;
       }
     }
-    std::vector<Bindings> winner = {*best};
+    std::vector<Frame> winner = {*best};
     satisfying = std::move(winner);
   }
 
   // Fire: evaluate the head and schedule its arrival. For aggregate rules
   // the aggregate column gets a placeholder; the value is resolved when the
   // event is processed (serialized, so contributions never race).
-  for (const Bindings& bindings : satisfying) {
+  for (const Frame& match : satisfying) {
+    const Bindings& bindings = match.bindings;
     std::vector<Value> head_values;
     head_values.reserve(rule.head.args.size());
     try {
@@ -593,7 +584,6 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
     }
     ++rule_firings_[rule_index];
 
-    // Reconstruct the body instantiation, in body order, for provenance.
     Event event;
     event.time = t + delivery_delay(node, target);
     event.kind = rule.agg ? Event::Kind::kAggregate
@@ -604,28 +594,16 @@ void Engine::fire_rule(const Rule& rule, std::size_t atom_index,
               ? 1
               : bindings.at(rule.agg->sum_var).as_int();
     }
-    event.rule = rule.name;
-    event.trigger_index = atom_index;
-    event.body.reserve(rule.body.size());
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      if (i == atom_index) {
-        event.body.push_back(arrival);
-        continue;
-      }
-      std::vector<Value> values;
-      values.reserve(rule.body[i].args.size());
-      for (const AtomArg& arg : rule.body[i].args) {
-        values.push_back(arg.is_var ? bindings.at(arg.var) : arg.constant);
-      }
-      event.body.emplace_back(rule.body[i].table, std::move(values));
-    }
+    event.rule = static_cast<std::uint32_t>(rule_index);
+    event.trigger_index = static_cast<std::uint32_t>(atom_index);
+    event.body = match.body;
     event.tuple = std::move(head);
     push_event(std::move(event));
   }
 }
 
 void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
-                               LogicalTime t) {
+                               TupleRef arrival_ref, LogicalTime t) {
   const Rule& rule = program_.rules()[plan.rule_index];
   FiringScope firing_scope(rule_span_labels_[plan.rule_index], fire_sketch_);
   const NodeName& node = arrival.location();
@@ -650,14 +628,18 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
   // Depth-first join over the planned steps. Registers are written exactly
   // once per root-to-leaf path before any read (static binding discipline),
   // so backtracking needs no save/restore; complete matches snapshot the
-  // register file and the chosen row per original body atom.
+  // register file and the chosen row (tuple and ref) per original body atom.
+  struct Chosen {
+    const Tuple* tuple = nullptr;
+    TupleRef ref = kNoTupleRef;
+  };
   struct Match {
     Regs regs;
-    std::vector<const Tuple*> chosen;
+    std::vector<Chosen> chosen;
   };
   std::vector<Match> matches;
-  std::vector<const Tuple*> chosen(rule.body.size(), nullptr);
-  chosen[plan.trigger_atom] = &arrival;
+  std::vector<Chosen> chosen(rule.body.size());
+  chosen[plan.trigger_atom] = {&arrival, arrival_ref};
 
   auto descend = [&](auto&& self, std::size_t depth) -> void {
     if (depth == plan.steps.size()) {
@@ -667,11 +649,11 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
     const JoinStep& step = plan.steps[depth];
     const Table* table = find_table(node, step.table);
     if (table == nullptr) return;
-    const auto try_candidate = [&](const Tuple& candidate,
+    const auto try_candidate = [&](const Table::Row& candidate,
                                    const std::vector<ColOp>& ops) {
       ++stats_.tuples_scanned;
       for (const ColOp& op : ops) {
-        const Value& v = candidate.at(op.col);
+        const Value& v = candidate.tuple.at(op.col);
         switch (op.kind) {
           case ColOp::Kind::kConst:
             if (!(op.constant == v)) return;
@@ -685,13 +667,14 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
         }
       }
       ++stats_.tuples_matched;
-      chosen[step.body_index] = &candidate;
+      chosen[step.body_index] = {&candidate.tuple, candidate.ref};
       self(self, depth + 1);
     };
     if (step.probe_cols.empty()) {
       // Nothing bound: full scan (rare -- a cross join).
-      table->for_each_live(
-          [&](const Tuple& candidate) { try_candidate(candidate, step.ops); });
+      table->for_each_live([&](const Table::Row& candidate) {
+        try_candidate(candidate, step.ops);
+      });
       return;
     }
     // Indexed probe: build the key from constants and bound registers, then
@@ -705,7 +688,7 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
     }
     ++stats_.index_probes;
     table->for_each_live_matching(step.probe_cols, probe_key,
-                                  [&](const Tuple& candidate) {
+                                  [&](const Table::Row& candidate) {
                                     try_candidate(candidate, step.residual);
                                   });
   };
@@ -728,7 +711,7 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
       std::vector<Value>& key = sort_keys[m];
       for (std::size_t i = 0; i < rule.body.size(); ++i) {
         if (i == plan.trigger_atom) continue;
-        const Tuple& row = *matches[m].chosen[i];
+        const Tuple& row = *matches[m].chosen[i].tuple;
         const ColumnSet& cols = plan.body_key_cols[i];
         if (cols.empty()) {
           key.insert(key.end(), row.values().begin(), row.values().end());
@@ -800,7 +783,7 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
   }
 
   // Fire: evaluate the head and schedule its arrival. The provenance body
-  // is the chosen rows themselves, in original body order.
+  // is the chosen rows' refs, in original body order.
   for (std::size_t m : satisfying) {
     const Match& match = matches[m];
     std::vector<Value> head_values;
@@ -835,12 +818,10 @@ void Engine::fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
                             ? 1
                             : match.regs[*plan.agg_sum_slot].as_int();
     }
-    event.rule = rule.name;
-    event.trigger_index = plan.trigger_atom;
+    event.rule = static_cast<std::uint32_t>(plan.rule_index);
+    event.trigger_index = static_cast<std::uint32_t>(plan.trigger_atom);
     event.body.reserve(rule.body.size());
-    for (std::size_t i = 0; i < rule.body.size(); ++i) {
-      event.body.push_back(*match.chosen[i]);
-    }
+    for (const Chosen& row : match.chosen) event.body.push_back(row.ref);
     event.tuple = std::move(head);
     push_event(std::move(event));
   }

@@ -18,6 +18,13 @@
 // (EngineConfig::use_join_plans = false); both paths produce byte-identical
 // event orders, outputs, and provenance.
 //
+// A processed insert costs one store probe: its tuple is interned into the
+// process-wide store (store/store.h) there and nowhere else in the engine.
+// The table row keeps the ref, and the firings the tuple joins into carry
+// their bodies as the refs of the trigger and the joined rows, so
+// observers, support counting and retraction all reuse refs the engine
+// already holds -- with or without observers attached.
+//
 // Deletions use counting semantics: each derivation contributes one unit of
 // support to its head; when a (base or derived) tuple disappears, dependent
 // derivations are deactivated and heads whose support reaches zero are
@@ -170,11 +177,13 @@ class Engine {
       kDerivedInsert,
       kAggregate,  // head carries a placeholder at the aggregate column
     } kind = Kind::kBaseInsert;
+    // For kDerivedInsert/kAggregate: provenance of the firing -- the rule's
+    // index in program_.rules(), the triggering body position, and the body
+    // in rule body order as the refs of the trigger and the joined rows.
+    std::uint32_t rule = 0;
+    std::uint32_t trigger_index = 0;
     Tuple tuple;
-    // For kDerivedInsert/kAggregate: provenance of the firing.
-    std::string rule;
-    std::vector<Tuple> body;
-    std::size_t trigger_index = 0;
+    std::vector<TupleRef> body;
     std::int64_t agg_delta = 0;  // kAggregate: the contribution
 
     bool operator>(const Event& other) const {
@@ -215,6 +224,8 @@ class Engine {
   /// queue is non-empty.
   Event pop_event();
   void process(const Event& event);
+  /// Interns the new tuple -- the event's one store probe -- and inserts,
+  /// notifies and fires with that ref.
   void process_insert(const Event& event);
   void process_delete(const Tuple& tuple, LogicalTime t);
 
@@ -229,18 +240,19 @@ class Engine {
   /// reaches zero are underived, recursively (same timestamp).
   void retract_dependents_of(TupleRef tuple, LogicalTime t);
 
-  /// Reference evaluator: joins `arrival` (already bound at body position
-  /// `atom_index` of `rule`) against node-local state by scanning each
-  /// remaining table, and fires the rule for every satisfying binding.
+  /// Reference evaluator: joins `arrival` (interned as `arrival_ref`,
+  /// already bound at body position `atom_index` of `rule`) against
+  /// node-local state by scanning each remaining table, and fires the rule
+  /// for every satisfying binding.
   void fire_rule(const Rule& rule, std::size_t atom_index,
-                 const Tuple& arrival, LogicalTime t);
+                 const Tuple& arrival, TupleRef arrival_ref, LogicalTime t);
 
   /// Plan evaluator: same semantics as fire_rule, but joins through the
   /// compiled plan -- indexed probes, flat registers, reordered atoms --
   /// then restores the reference candidate order before firing, so both
   /// evaluators schedule identical event sequences.
   void fire_rule_planned(const RulePlan& plan, const Tuple& arrival,
-                         LogicalTime t);
+                         TupleRef arrival_ref, LogicalTime t);
 
   /// Attempts to unify `tuple` with `atom` under `bindings`; returns false
   /// on mismatch, otherwise extends `bindings`.
@@ -266,6 +278,13 @@ class Engine {
 
   Program program_;
   EngineConfig config_;
+  // Per-rule facts, computed once so processing a derivation does no name
+  // interning or table lookups for its body.
+  struct RuleFacts {
+    NameRef name = kNoName;   // the interned rule name
+    bool event_body = false;  // some body atom is over an event table
+  };
+  std::vector<RuleFacts> rule_facts_;  // indexed like program_.rules()
   // rules_listening_to() result per table, precomputed: the per-event hot
   // path must not rescan (and reallocate) the rule list.
   std::map<std::string, std::vector<std::size_t>> listeners_;
@@ -288,9 +307,6 @@ class Engine {
   std::unordered_map<TupleRef, std::vector<std::size_t>> records_by_body_;
   std::unordered_map<TupleRef, std::vector<std::size_t>> records_by_head_;
   std::unordered_map<TupleRef, std::int64_t> support_;
-  // Scratch for the per-derivation body refs handed to observers (reused so
-  // the notify path does not allocate per firing).
-  std::vector<TupleRef> body_refs_scratch_;
   // fire_rule_planned's surviving-match indexes (reused per firing).
   std::vector<std::size_t> satisfying_scratch_;
 

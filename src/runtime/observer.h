@@ -6,10 +6,12 @@
 // order.
 //
 // Callbacks carry interned refs (store/store.h), not tuple copies: the
-// engine interns each notified tuple once into the process-wide store, and
-// every observer downstream -- recorder, event log, metrics -- shares that
-// single record. An observer that needs value semantics resolves the ref
-// (`resolve_tuple`), which returns the store's canonical copy.
+// engine interns each new tuple once, when it processes it, into the
+// process-wide store. Its table row keeps that ref, so a derivation's body,
+// a displaced row and a deleted row are notified with the refs the engine
+// already holds, and every observer downstream -- recorder, event log --
+// shares the single record. An observer that needs value semantics resolves
+// the ref (`resolve_tuple`), which returns the store's canonical copy.
 #pragma once
 
 #include <vector>

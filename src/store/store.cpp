@@ -21,20 +21,18 @@ std::uint64_t value_heap_bytes(const Value& v) {
 // ---------------------------------------------------------------------------
 // ValuePool
 
-ValueRef ValuePool::find_in_chain(std::uint64_t hash, const Value& v) const {
-  auto it = buckets_.find(hash);
-  if (it == buckets_.end()) return kNoValueRef;
-  for (ValueRef r = it->second; r != kNoValueRef; r = next_[r]) {
+ValueRef ValuePool::find_in_chain(std::uint32_t key, const Value& v) const {
+  for (ValueRef r = index_.head(key); r != kNoValueRef; r = next_[r]) {
     if (values_[r] == v) return r;
   }
   return kNoValueRef;
 }
 
 ValueRef ValuePool::intern(const Value& v) {
-  const std::uint64_t hash = hash_of(v);
+  const std::uint32_t key = ChainHeads::key_of(hash_of(v));
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    const ValueRef r = find_in_chain(hash, v);
+    const ValueRef r = find_in_chain(key, v);
     if (r != kNoValueRef) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return r;
@@ -42,15 +40,13 @@ ValueRef ValuePool::intern(const Value& v) {
   }
   std::unique_lock<std::shared_mutex> lock(mutex_);
   // Re-probe: another thread may have interned v between the locks.
-  const ValueRef existing = find_in_chain(hash, v);
+  const ValueRef existing = find_in_chain(key, v);
   if (existing != kNoValueRef) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return existing;
   }
   const auto r = static_cast<ValueRef>(values_.push_back(v));
-  auto [it, inserted] = buckets_.emplace(hash, r);
-  next_.push_back(inserted ? kNoValueRef : it->second);  // chain old head
-  it->second = r;
+  next_.push_back(index_.push(key, r));  // chain the old head
   string_bytes_ += value_heap_bytes(values_[r]);
   misses_.fetch_add(1, std::memory_order_relaxed);
   return r;
@@ -62,10 +58,9 @@ ValuePool::Stats ValuePool::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   std::shared_lock<std::shared_mutex> lock(mutex_);
   s.values = values_.size();
+  s.index_slots = index_.slot_count();
   s.bytes = values_.allocated_bytes() + next_.allocated_bytes() +
-            string_bytes_ +
-            buckets_.size() * (sizeof(std::uint64_t) + sizeof(ValueRef) +
-                               2 * sizeof(void*));
+            string_bytes_ + index_.bytes();
   return s;
 }
 
@@ -102,11 +97,9 @@ TupleStore::~TupleStore() {
   }
 }
 
-TupleRef TupleStore::find_in_chain(std::uint64_t hash, const Tuple& t) const {
-  auto it = buckets_.find(hash);
-  if (it == buckets_.end()) return kNoTupleRef;
+TupleRef TupleStore::find_in_chain(std::uint32_t key, const Tuple& t) const {
   const std::size_t n = t.arity();
-  for (TupleRef r = it->second; r != kNoTupleRef; r = next_[r]) {
+  for (TupleRef r = index_.head(key); r != kNoTupleRef; r = next_[r]) {
     if (arity_[r] != n || names_.name(table_[r]) != t.table()) continue;
     // The name and value pools read lock-free, so the whole probe runs
     // under this one shared lock.
@@ -118,7 +111,7 @@ TupleRef TupleStore::find_in_chain(std::uint64_t hash, const Tuple& t) const {
   return kNoTupleRef;
 }
 
-TupleRef TupleStore::insert_locked(std::uint64_t hash, NameRef table,
+TupleRef TupleStore::insert_locked(std::uint32_t key, NameRef table,
                                    const ValueRef* refs, std::size_t n,
                                    [[maybe_unused]] const Tuple& t) {
   const auto begin = static_cast<std::uint32_t>(refs_.size());
@@ -127,15 +120,13 @@ TupleRef TupleStore::insert_locked(std::uint64_t hash, NameRef table,
   begin_.push_back(begin);
   arity_.push_back(static_cast<std::uint16_t>(n));
   canonical_.publish(canonical_.emplace_default() + 1);
-  auto [it, inserted] = buckets_.emplace(hash, r);
-  next_.push_back(inserted ? kNoTupleRef : it->second);
-  it->second = r;
+  next_.push_back(index_.push(key, r));  // chain the old head
   misses_.fetch_add(1, std::memory_order_relaxed);
 #ifndef NDEBUG
   // The no-second-copy invariant: the record just written must round-trip to
   // a tuple structurally equal to the input, and re-interning must find it
   // (i.e. the store never ends up with two records for one tuple).
-  assert(find_in_chain(hash, t) == r &&
+  assert(find_in_chain(key, t) == r &&
          "TupleStore: duplicate record for one tuple");
   assert(table_name(r) == t.table() && arity(r) == t.arity());
   for (std::size_t i = 0; i < t.arity(); ++i) {
@@ -147,10 +138,10 @@ TupleRef TupleStore::insert_locked(std::uint64_t hash, NameRef table,
 }
 
 TupleRef TupleStore::intern(const Tuple& t) {
-  const std::uint64_t hash = hash_of(t);
+  const std::uint32_t key = ChainHeads::key_of(hash_of(t));
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    const TupleRef r = find_in_chain(hash, t);
+    const TupleRef r = find_in_chain(key, t);
     if (r != kNoTupleRef) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return r;
@@ -165,18 +156,18 @@ TupleRef TupleStore::intern(const Tuple& t) {
   const NameRef table = names_.intern(t.table());
   std::unique_lock<std::shared_mutex> lock(mutex_);
   // Re-probe: another thread may have interned t between the locks.
-  const TupleRef existing = find_in_chain(hash, t);
+  const TupleRef existing = find_in_chain(key, t);
   if (existing != kNoTupleRef) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return existing;
   }
-  return insert_locked(hash, table, refs.data(), refs.size(), t);
+  return insert_locked(key, table, refs.data(), refs.size(), t);
 }
 
 TupleRef TupleStore::find(const Tuple& t) const {
-  const std::uint64_t hash = hash_of(t);
+  const std::uint32_t key = ChainHeads::key_of(hash_of(t));
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return find_in_chain(hash, t);
+  return find_in_chain(key, t);
 }
 
 const Tuple& TupleStore::resolve(TupleRef ref) const {
@@ -237,12 +228,11 @@ TupleStore::Stats TupleStore::stats() const {
   s.values = vs.values;
   std::shared_lock<std::shared_mutex> lock(mutex_);
   s.tuples = table_.size();
+  s.index_slots = index_.slot_count();
   s.bytes = vs.bytes + table_.allocated_bytes() + begin_.allocated_bytes() +
             arity_.allocated_bytes() + next_.allocated_bytes() +
             refs_.allocated_bytes() + canonical_.allocated_bytes() +
-            resolved_bytes_.load(std::memory_order_relaxed) +
-            buckets_.size() * (sizeof(std::uint64_t) + sizeof(TupleRef) +
-                               2 * sizeof(void*));
+            resolved_bytes_.load(std::memory_order_relaxed) + index_.bytes();
   return s;
 }
 

@@ -43,29 +43,18 @@
 #include "ndlog/value.h"
 #include "obs/metrics.h"
 #include "store/chunked_array.h"
+#include "store/refs.h"
+#include "util/chain_heads.h"
 
 namespace dp {
 
-/// Handle of an interned Value. Equal refs <=> equal values (per pool).
-using ValueRef = std::uint32_t;
-inline constexpr ValueRef kNoValueRef = static_cast<ValueRef>(-1);
-
-/// Handle of an interned Tuple. Equal refs <=> structurally equal tuples
-/// (per store).
-using TupleRef = std::uint32_t;
-inline constexpr TupleRef kNoTupleRef = static_cast<TupleRef>(-1);
-
-/// Handle of an interned name (table or rule). kNoName renders as "".
-using NameRef = std::uint32_t;
-inline constexpr NameRef kNoName = static_cast<NameRef>(-1);
-
 /// Deduplicating value storage. Each distinct Value is stored once; interning
 /// an equal value again returns the original ref (hash-consing with full
-/// equality checks on 64-bit hash collisions).
+/// equality checks along each hash-key collision chain).
 class ValuePool {
  public:
-  /// Structural hash used for bucketing. Injectable so tests can force every
-  /// value into one collision chain; nullptr means Value::hash.
+  /// Structural hash the chain index keys on. Injectable so tests can force
+  /// every value into one collision chain; nullptr means Value::hash.
   using HashFn = std::uint64_t (*)(const Value&);
 
   explicit ValuePool(HashFn hash = nullptr) : hash_fn_(hash) {}
@@ -85,7 +74,8 @@ class ValuePool {
     std::uint64_t values = 0;
     std::uint64_t hits = 0;    // intern() calls that found an existing record
     std::uint64_t misses = 0;  // intern() calls that inserted
-    std::uint64_t bytes = 0;   // arena + string heap estimate
+    std::uint64_t index_slots = 0;  // chain-head slots (kSlotBytes each)
+    std::uint64_t bytes = 0;   // arena + string heap estimate + slot array
   };
   [[nodiscard]] Stats stats() const;
 
@@ -93,14 +83,14 @@ class ValuePool {
   [[nodiscard]] std::uint64_t hash_of(const Value& v) const {
     return hash_fn_ != nullptr ? hash_fn_(v) : v.hash();
   }
-  [[nodiscard]] ValueRef find_in_chain(std::uint64_t hash,
+  [[nodiscard]] ValueRef find_in_chain(std::uint32_t key,
                                        const Value& v) const;
 
   HashFn hash_fn_;
   mutable std::shared_mutex mutex_;
-  std::unordered_map<std::uint64_t, ValueRef> buckets_;  // hash -> chain head
+  ChainHeads index_;  // hash key -> chain head
   store_detail::ChunkedArray<Value> values_;
-  store_detail::ChunkedArray<ValueRef> next_;  // same-hash collision chain
+  store_detail::ChunkedArray<ValueRef> next_;  // same-key collision chain
   std::uint64_t string_bytes_ = 0;             // heap behind string values
   mutable std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
@@ -151,7 +141,8 @@ class TupleStore {
 
   /// Returns the ref of `t`, inserting it if unseen. An equal tuple always
   /// returns the same ref, so ref comparison is tuple equality. One probe:
-  /// `t` is hashed once and compared field by field against its hash chain
+  /// `t` is hashed once, its chain head read from one slot of the
+  /// open-addressed index, and `t` compared field by field along the chain
   /// under one shared lock; its values and table name are interned only
   /// when the tuple is new.
   TupleRef intern(const Tuple& t);
@@ -205,7 +196,9 @@ class TupleStore {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t resolved = 0;  // canonical tuples materialized
-    std::uint64_t bytes = 0;     // columns + value pool + canonical cache
+    std::uint64_t index_slots = 0;  // tuple chain-head slots (kSlotBytes each)
+    // Columns + value pool + canonical cache + both slot arrays.
+    std::uint64_t bytes = 0;
     [[nodiscard]] double hit_rate() const {
       return hits + misses == 0
                  ? 0.0
@@ -224,13 +217,13 @@ class TupleStore {
   [[nodiscard]] std::uint64_t hash_of(const Tuple& t) const {
     return tuple_hash_ != nullptr ? tuple_hash_(t) : t.hash();
   }
-  /// The record structurally equal to `t` in `hash`'s chain, else
+  /// The record structurally equal to `t` in `key`'s chain, else
   /// kNoTupleRef. Caller holds the lock (shared or unique).
-  [[nodiscard]] TupleRef find_in_chain(std::uint64_t hash,
+  [[nodiscard]] TupleRef find_in_chain(std::uint32_t key,
                                        const Tuple& t) const;
-  /// Appends a new record (columns, bucket chain, canonical slot). Caller
-  /// holds the unique lock and has verified the tuple is absent.
-  TupleRef insert_locked(std::uint64_t hash, NameRef table,
+  /// Appends a new record (columns, chain, canonical slot). Caller holds the
+  /// unique lock and has verified the tuple is absent.
+  TupleRef insert_locked(std::uint32_t key, NameRef table,
                          const ValueRef* refs, std::size_t n, const Tuple& t);
 
   TupleHashFn tuple_hash_;
@@ -238,13 +231,13 @@ class TupleStore {
   NamePool names_;
 
   mutable std::shared_mutex mutex_;
-  std::unordered_map<std::uint64_t, TupleRef> buckets_;  // hash -> chain head
+  ChainHeads index_;  // hash key -> chain head
 
   // Columnar record storage (struct of arrays).
   store_detail::ChunkedArray<NameRef> table_;
   store_detail::ChunkedArray<std::uint32_t> begin_;  // offset into refs_
   store_detail::ChunkedArray<std::uint16_t> arity_;
-  store_detail::ChunkedArray<TupleRef> next_;  // same-hash collision chain
+  store_detail::ChunkedArray<TupleRef> next_;  // same-key collision chain
   // Flat ValueRef arena; record `r` owns refs_[begin_[r] .. +arity_[r]).
   store_detail::ChunkedArray<ValueRef> refs_;
   // Lazily materialized canonical tuples (resolve()).

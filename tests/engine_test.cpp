@@ -2,8 +2,13 @@
 // delivery, argmax (priority) selection, deletion cascades, determinism.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "mapred/scenario.h"
 #include "ndlog/parser.h"
+#include "replay/replay_engine.h"
 #include "runtime/engine.h"
+#include "sdn/scenario.h"
 
 namespace dp {
 namespace {
@@ -312,6 +317,45 @@ TEST(Engine, ObserverSeesTriggerTuple) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// ------------------------------------------------------------ store probes --
+
+/// Interning probes of the process-wide store so far (hits + misses).
+std::uint64_t store_probes() {
+  const TupleStore::Stats stats = global_store().stats();
+  return stats.hits + stats.misses;
+}
+
+/// Decodes `log` from its wire form and replays it; returns the store probes
+/// spent per processed event plus decoded record.
+double probes_per_event(const Program& program, const Topology& topology,
+                        const EventLog& log) {
+  std::stringstream wire;
+  log.serialize(wire);
+  const std::uint64_t before = store_probes();
+  const EventLog decoded = EventLog::deserialize(wire);
+  const ReplayResult run = replay(program, topology, decoded);
+  const std::uint64_t work =
+      run.engine->stats().events_processed + decoded.size();
+  EXPECT_GT(run.engine->stats().derivations, 0u);
+  return static_cast<double>(store_probes() - before) /
+         static_cast<double>(work);
+}
+
+TEST(Engine, ReplayMakesAtMostOneStoreProbePerEventPlusLogRecord) {
+  // Rows keep the ref they were interned under and events carry their
+  // bodies as refs, so a tuple is interned once when its record is decoded
+  // and once when its event is processed -- never again as the body of a
+  // derivation it feeds.
+  const sdn::Scenario sdn1 = sdn::sdn1();
+  EXPECT_LE(probes_per_event(sdn1.program, sdn1.topology, sdn1.log), 1.0);
+
+  const mapred::Scenario mr1 = mapred::mr1_declarative();
+  EXPECT_LE(probes_per_event(
+                mr1.model, Topology{},
+                mapred::declarative_job_log(mr1.store, mr1.bad_config)),
+            1.0);
 }
 
 }  // namespace

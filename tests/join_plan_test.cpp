@@ -180,8 +180,8 @@ Tuple flow(const std::string& node, std::int64_t key, std::int64_t payload) {
 std::vector<Tuple> reference_matches(const Table& table, std::size_t col,
                                      const Value& v) {
   std::vector<Tuple> out;
-  table.for_each_live([&](const Tuple& t) {
-    if (t.at(col) == v) out.push_back(t);
+  table.for_each_live([&](const Table::Row& row) {
+    if (row.tuple.at(col) == v) out.push_back(row.tuple);
   });
   return out;
 }
@@ -189,8 +189,8 @@ std::vector<Tuple> reference_matches(const Table& table, std::size_t col,
 std::vector<Tuple> indexed_matches(const Table& table, std::size_t col,
                                    const Value& v) {
   std::vector<Tuple> out;
-  table.for_each_live_matching({col}, {v},
-                               [&](const Tuple& t) { out.push_back(t); });
+  table.for_each_live_matching(
+      {col}, {v}, [&](const Table::Row& row) { out.push_back(row.tuple); });
   return out;
 }
 
@@ -249,7 +249,7 @@ TEST(JoinIndex, MultiColumnProbeAndCopySafety) {
   std::vector<Tuple> matched;
   table.for_each_live_matching(
       {0, 2}, {Value("n1"), Value(3)},
-      [&](const Tuple& t) { matched.push_back(t); });
+      [&](const Table::Row& row) { matched.push_back(row.tuple); });
   EXPECT_EQ(matched, reference_matches(table, 2, Value(3)));
   ASSERT_EQ(table.index_count(), 1u);
 
@@ -259,6 +259,30 @@ TEST(JoinIndex, MultiColumnProbeAndCopySafety) {
   EXPECT_EQ(copy.index_count(), 0u);
   EXPECT_EQ(indexed_matches(copy, 2, Value(3)),
             reference_matches(copy, 2, Value(3)));
+}
+
+TEST(JoinIndex, RowsHandBackTheRefsTheyWereInsertedUnder) {
+  // The engine builds derivation bodies from these refs instead of
+  // re-interning the rows, so every read path must return the row's own.
+  Table table(keyed_decl());
+  for (int k = 0; k < 6; ++k) {
+    table.insert(flow("n1", k, k % 2), 1, static_cast<TupleRef>(100 + k));
+  }
+  std::vector<TupleRef> matched;
+  table.for_each_live_matching(
+      {2}, {Value(1)},
+      [&](const Table::Row& row) { matched.push_back(row.ref); });
+  EXPECT_EQ(matched, (std::vector<TupleRef>{101, 103, 105}));
+  const Table::Row* row = table.live_by_key({Value("n1"), Value(4)});
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->ref, 104u);
+
+  const auto result = table.insert(flow("n1", 4, 9), 2, 200);
+  ASSERT_TRUE(result.displaced.has_value());
+  EXPECT_EQ(result.displaced->tuple, flow("n1", 4, 0));
+  EXPECT_EQ(result.displaced->ref, 104u);
+  EXPECT_EQ(table.remove(flow("n1", 4, 9), 3), std::optional<TupleRef>(200));
+  EXPECT_EQ(table.remove(flow("n1", 4, 9), 4), std::nullopt);
 }
 
 TEST(JoinIndex, KeyOfScratchOverloadAgreesWithAllocating) {

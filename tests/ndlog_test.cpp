@@ -83,7 +83,7 @@ TEST(Table, KeyUpsertDisplacesOldValue) {
   const auto result = table.insert(v2, 20);
   EXPECT_TRUE(result.inserted);
   ASSERT_TRUE(result.displaced.has_value());
-  EXPECT_EQ(*result.displaced, v1);
+  EXPECT_EQ(result.displaced->tuple, v1);
   EXPECT_FALSE(table.is_live(v1));
   EXPECT_TRUE(table.is_live(v2));
   // Temporal history kept: v1 existed during [10, 20).

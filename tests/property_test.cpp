@@ -162,7 +162,8 @@ TEST_P(TableProperties, IntervalsAreOrderedDisjointAndKeyUnique) {
   // Invariant 2: at most one live tuple per key, and live tuples are
   // exactly those whose last interval is open.
   std::map<std::vector<Value>, int> live_per_key;
-  table.for_each_live([&](const Tuple& t) {
+  table.for_each_live([&](const Table::Row& row) {
+    const Tuple& t = row.tuple;
     ++live_per_key[table.key_of(t)];
     const auto history = table.history(t);
     ASSERT_FALSE(history.empty());

@@ -181,6 +181,137 @@ TEST(TupleStore, ReInterningAKnownTupleLeavesTheValuePoolAlone) {
   EXPECT_EQ(store.stats().hits, 12u);
 }
 
+// ------------------------------------------- open-addressed chain heads --
+
+Tuple numbered(int i) { return Tuple("flow", {Value("sw1"), Value(i)}); }
+
+/// Spreads tuples across distinct chain keys whose low 16 bits are all zero,
+/// so below 64k slots every key's probe starts at slot 0: the index is one
+/// linear-probe cluster.
+std::uint64_t low_entropy_tuple_hash(const Tuple& t) {
+  return static_cast<std::uint64_t>(t.at(1).as_int()) << 48;
+}
+
+TEST(StoreIndex, LowEntropyHashesShareOneProbeClusterAcrossGrowths) {
+  TupleStore store(nullptr, &low_entropy_tuple_hash);
+  constexpr int kTuples = 200;
+  std::vector<TupleRef> refs;
+  std::set<std::uint64_t> slot_counts;
+  for (int i = 0; i < kTuples; ++i) {
+    refs.push_back(store.intern(numbered(i)));
+    slot_counts.insert(store.stats().index_slots);
+  }
+  // 16 -> 32 -> 64 -> 128 -> 256 slots: four growths, each rehashing the
+  // whole cluster from its stored keys.
+  EXPECT_GE(slot_counts.size(), 4u);
+  EXPECT_EQ(std::set<TupleRef>(refs.begin(), refs.end()).size(),
+            static_cast<std::size_t>(kTuples));
+  for (int i = 0; i < kTuples; ++i) {
+    const auto at = static_cast<std::size_t>(i);
+    EXPECT_EQ(store.intern(numbered(i)), refs[at]) << i;
+    EXPECT_EQ(store.find(numbered(i)), refs[at]) << i;
+    EXPECT_EQ(store.resolve(refs[at]), numbered(i));
+  }
+  // An absent key walks the whole cluster to the empty slot past its end.
+  EXPECT_EQ(store.find(numbered(kTuples)), kNoTupleRef);
+  EXPECT_EQ(store.find(numbered(kTuples + 4096)), kNoTupleRef);
+  EXPECT_EQ(store.stats().misses, static_cast<std::uint64_t>(kTuples));
+}
+
+TEST(StoreIndex, FindOfAnAbsentTupleNeverInsertsOrGrows) {
+  TupleStore store;
+  // Stop one key short of the first growth (16 slots hold 11 keys at the
+  // 0.7 load bound), where an insert would double the array.
+  for (int i = 0; i < 11; ++i) store.intern(numbered(i));
+  const TupleStore::Stats before = store.stats();
+  const ValuePool::Stats values_before = store.values().stats();
+  EXPECT_EQ(before.index_slots, 16u);
+  for (int i = 11; i < 1000; ++i) {
+    EXPECT_EQ(store.find(numbered(i)), kNoTupleRef);
+  }
+  const TupleStore::Stats after = store.stats();
+  EXPECT_EQ(after.tuples, before.tuples);
+  EXPECT_EQ(after.index_slots, before.index_slots);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(store.values().stats().values, values_before.values);
+  EXPECT_EQ(store.values().stats().index_slots, values_before.index_slots);
+  // The next new tuple grows it.
+  store.intern(numbered(11));
+  EXPECT_EQ(store.stats().index_slots, 32u);
+}
+
+TEST(StoreIndex, StatsPriceTheSlotArraysExactly) {
+  // Each tuple adds one int value and two value refs: the first intern
+  // allocates every column's first chunk, and no later one here needs a
+  // second, so bytes move only when a slot array grows -- by one 8-byte
+  // slot per new slot, in the tuple index or the value index.
+  static_assert(ChainHeads::kSlotBytes == 8);
+  TupleStore store;
+  store.intern(numbered(0));
+  const auto slot_bytes = [&store] {
+    return 8 * (store.stats().index_slots +
+                store.values().stats().index_slots);
+  };
+  const std::uint64_t rest = store.stats().bytes - slot_bytes();
+  std::set<std::uint64_t> slot_counts;
+  for (int i = 1; i < 1500; ++i) {
+    store.intern(numbered(i));
+    ASSERT_EQ(store.stats().bytes - slot_bytes(), rest) << "tuple " << i;
+    slot_counts.insert(store.stats().index_slots);
+  }
+  EXPECT_GE(slot_counts.size(), 7u);  // 16 .. 4096 slots: seven growths
+}
+
+TEST(StoreIndex, ConcurrentFindsSeeEveryPublishedRefAcrossGrowths) {
+  // Writers intern fresh tuples, growing the slot array many times, while
+  // readers find tuples the writers already published (which must resolve
+  // to the writer's ref) and tuples nobody interns (which must stay
+  // absent). Run under TSan in CI.
+  TupleStore store;
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 3;
+  constexpr int kPerWriter = 3000;
+  std::vector<std::vector<TupleRef>> refs(
+      kWriters, std::vector<TupleRef>(kPerWriter, kNoTupleRef));
+  std::vector<std::atomic<int>> published(kWriters);
+  const auto tuple_of = [](int writer, int i) {
+    return Tuple("flow", {Value("w" + std::to_string(writer)), Value(i)});
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        refs[w][i] = store.intern(tuple_of(w, i));
+        published[w].store(i + 1, std::memory_order_release);
+      }
+    });
+  }
+  std::atomic<int> mismatches{0};
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng{static_cast<std::uint64_t>(r) + 7};
+      for (int iter = 0; iter < 4000; ++iter) {
+        const int w = static_cast<int>(rng.next_below(kWriters));
+        const int count = published[w].load(std::memory_order_acquire);
+        if (count > 0) {
+          const int i = static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(count)));
+          if (store.find(tuple_of(w, i)) != refs[w][i]) ++mismatches;
+        }
+        if (store.find(tuple_of(kWriters + r, iter)) != kNoTupleRef) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(kWriters * kPerWriter));
+  EXPECT_GE(store.stats().index_slots, 8192u);
+}
+
 // -------------------------------------------------- cross-thread interning --
 
 TEST(TupleStore, ConcurrentInterningAgreesOnRefs) {
@@ -232,9 +363,8 @@ struct JoinIndexHashGuard {
 };
 
 TEST(JoinIndexOpenAddressing, ForcedHashCollisionsStillSeparateKeys) {
-  // Every key hashes to the same slot, so the whole table becomes one linear
-  // probe cluster: correctness must come from the stored-key comparison, and
-  // termination from the table never exceeding its load factor.
+  // Every key hashes alike, so all buckets share one chain behind one slot:
+  // correctness must come from the stored-key comparison.
   JoinIndexHashGuard guard;
   Table::JoinIndex::set_hash_for_testing(
       [](const std::vector<Value>&) -> std::uint64_t { return 7; });
@@ -257,16 +387,15 @@ TEST(JoinIndexOpenAddressing, ForcedHashCollisionsStillSeparateKeys) {
     ASSERT_NE(entries, nullptr) << "key " << v;
     EXPECT_EQ(entries->size(), 8u);
     for (const Table::JoinIndex::Entry& entry : *entries) {
-      EXPECT_EQ(entry.tuple->at(2), Value(v));
+      EXPECT_EQ(entry.row->tuple.at(2), Value(v));
     }
   }
-  // An absent key walks the full collision cluster and stops at an empty
-  // slot instead of looping.
+  // An absent key walks the full collision chain and stops at its end.
   const std::vector<Value> absent = {Value(99)};
   EXPECT_EQ(index.lookup(Table::JoinIndex::hash_key(absent), absent), nullptr);
 
   // Deletions shrink bucket entries in place; emptied buckets stay resident
-  // (slots are never vacated) and read as no-match.
+  // (slots and chains are never vacated) and read as no-match.
   for (int k = 0; k < 32; k += 4) {
     ASSERT_TRUE(
         table.remove(Tuple("flow", {Value("n1"), Value(k), Value(0)}), 2));
@@ -280,8 +409,8 @@ TEST(JoinIndexOpenAddressing, ForcedHashCollisionsStillSeparateKeys) {
 }
 
 TEST(JoinIndexOpenAddressing, GrowthRehashesWithoutLosingEntries) {
-  // No override here: drive the index through several rehash_grow cycles and
-  // check every key remains reachable through the open-addressing probe.
+  // No override here: drive the index through several slot-array growths
+  // and check every key remains reachable through the open-addressing probe.
   TableDecl decl;
   decl.name = "flow";
   decl.arity = 3;
@@ -298,7 +427,7 @@ TEST(JoinIndexOpenAddressing, GrowthRehashesWithoutLosingEntries) {
     const auto* entries = index.lookup(Table::JoinIndex::hash_key(key), key);
     ASSERT_NE(entries, nullptr) << "key " << v;
     ASSERT_EQ(entries->size(), 1u);
-    EXPECT_EQ(entries->front().tuple->at(1), Value(v));
+    EXPECT_EQ(entries->front().row->tuple.at(1), Value(v));
   }
 }
 
