@@ -32,28 +32,18 @@ std::optional<SeedInfo> find_seed(const ProvTree& tree) {
         return seed;
       }
       case VertexKind::kDerive: {
-        if (children.empty()) return std::nullopt;
-        // Descend into the trigger: the child EXIST with the latest APPEAR
-        // time (== interval start), as in the paper; the recorded trigger
-        // index breaks ties exactly.
-        ProvTree::NodeIndex best = children.front();
-        LogicalTime best_time = tree.vertex_of(best).interval.start;
-        for (std::size_t i = 1; i < children.size(); ++i) {
-          const LogicalTime t = tree.vertex_of(children[i]).interval.start;
-          if (t > best_time) {
-            best = children[i];
-            best_time = t;
-          }
+        // Descend into the trigger, the paper's last precondition, which
+        // the graph records for every DERIVE: every other body row was live
+        // when it arrived. The one child that can appear later is an
+        // aggregate's previous value, which the engine reads when the
+        // firing is processed and appends after the rule body; it must
+        // never outrank the trigger, or the walk leaves the contribution
+        // for the count chain.
+        if (v.trigger_index < 0 ||
+            static_cast<std::size_t>(v.trigger_index) >= children.size()) {
+          return std::nullopt;
         }
-        if (v.trigger_index >= 0 &&
-            static_cast<std::size_t>(v.trigger_index) < children.size()) {
-          const ProvTree::NodeIndex recorded =
-              children[static_cast<std::size_t>(v.trigger_index)];
-          if (tree.vertex_of(recorded).interval.start == best_time) {
-            best = recorded;
-          }
-        }
-        current = best;
+        current = children[static_cast<std::size_t>(v.trigger_index)];
         break;
       }
       default:

@@ -150,17 +150,25 @@ std::vector<NodeName> Engine::nodes() const {
 }
 
 void Engine::push_event(Event event) {
-  event.seq = kInternalSeqBand | next_seq_++;
-  enqueue(std::move(event));
+  enqueue(std::move(event), kInternalSeqBand | next_seq_++);
 }
 
 void Engine::push_external_event(Event event) {
-  event.seq = next_external_seq_++;
-  enqueue(std::move(event));
+  enqueue(std::move(event), next_external_seq_++);
 }
 
-void Engine::enqueue(Event event) {
-  queue_.push_back(std::move(event));
+void Engine::enqueue(Event event, std::uint64_t seq) {
+  const LogicalTime time = event.time;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(events_.size());
+    events_.push_back(std::move(event));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    events_[slot] = std::move(event);
+  }
+  queue_.push_back(QueueKey{time, seq, slot});
   std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
   if (queue_.size() > queue_depth_max_) queue_depth_max_ = queue_.size();
 }
@@ -168,8 +176,10 @@ void Engine::enqueue(Event event) {
 Engine::Event Engine::pop_event() {
   assert(!queue_.empty());
   std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-  Event event = std::move(queue_.back());
+  const std::uint32_t slot = queue_.back().slot;
   queue_.pop_back();
+  Event event = std::move(events_[slot]);
+  free_slots_.push_back(slot);
   return event;
 }
 

@@ -6,10 +6,11 @@
 // firings are evaluated delta-style (each arriving tuple is joined against
 // the materialized state of its node), and derived heads travel to their
 // destination node with the link delay. The event loop pops one event at a
-// time from a (time, sequence) heap and evaluates it completely before the
-// next, as RapidNet evaluates each delta tuple as it arrives. That order is
-// fully deterministic, which is what makes replay-based tree updating (paper
-// sections 4.6/4.8) sound.
+// time and evaluates it completely before the next, as RapidNet evaluates
+// each delta tuple as it arrives. The heap orders 24-byte (time, sequence,
+// slot) keys; a pending event waits in its slot of an event slab, and a pop
+// moves that one event out. The order is fully deterministic, which is what
+// makes replay-based tree updating (paper sections 4.6/4.8) sound.
 //
 // Joins run through compiled rule plans (runtime/plan.h) by default: body
 // atoms are greedily reordered, variables live in a flat register file, and
@@ -20,10 +21,11 @@
 //
 // A processed insert costs one store probe: its tuple is interned into the
 // process-wide store (store/store.h) there and nowhere else in the engine.
-// The table row keeps the ref, and the firings the tuple joins into carry
-// their bodies as the refs of the trigger and the joined rows, so
-// observers, support counting and retraction all reuse refs the engine
-// already holds -- with or without observers attached.
+// The table row keeps the ref and the table's history is keyed by it
+// (runtime/table.h), and the firings the tuple joins into carry their
+// bodies as the refs of the trigger and the joined rows, so observers,
+// support counting and retraction all reuse refs the engine already holds
+// -- with or without observers attached.
 //
 // Deletions use counting semantics: each derivation contributes one unit of
 // support to its head; when a (base or derived) tuple disappears, dependent
@@ -41,10 +43,10 @@
 
 #include "ndlog/eval.h"
 #include "ndlog/program.h"
-#include "ndlog/table.h"
 #include "obs/obs.h"
 #include "runtime/observer.h"
 #include "runtime/plan.h"
+#include "runtime/table.h"
 #include "util/time.h"
 
 namespace dp {
@@ -170,7 +172,6 @@ class Engine {
  private:
   struct Event {
     LogicalTime time = 0;
-    std::uint64_t seq = 0;
     enum class Kind : std::uint8_t {
       kBaseInsert,
       kBaseDelete,
@@ -185,8 +186,17 @@ class Engine {
     Tuple tuple;
     std::vector<TupleRef> body;
     std::int64_t agg_delta = 0;  // kAggregate: the contribution
+  };
 
-    bool operator>(const Event& other) const {
+  // The heap's element: an event's order and where the event waits. The
+  // heap sifts these 24-byte keys; the events stay put in their slots until
+  // popped.
+  struct QueueKey {
+    LogicalTime time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;  // index into events_
+
+    bool operator>(const QueueKey& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
     }
@@ -219,7 +229,8 @@ class Engine {
   void push_event(Event event);
   /// Enqueues an externally scheduled base event (low seq band).
   void push_external_event(Event event);
-  void enqueue(Event event);
+  /// Parks `event` in a free slot and pushes its key.
+  void enqueue(Event event, std::uint64_t seq);
   /// Moves the front (earliest) event out of the queue. Precondition: the
   /// queue is non-empty.
   Event pop_event();
@@ -292,10 +303,12 @@ class Engine {
   std::map<std::string, std::vector<RulePlan>> plans_;
   std::map<NodeName, std::map<std::string, Table>> state_;
   std::map<std::pair<NodeName, NodeName>, LogicalTime> links_;
-  // Min-heap on (time, seq) via std::push_heap/std::pop_heap. A raw vector
-  // (rather than std::priority_queue) lets pop_event() move the element out
-  // instead of copying the tuple and provenance body on every event.
-  std::vector<Event> queue_;
+  // Min-heap of keys on (time, seq) via std::push_heap/std::pop_heap; each
+  // key names the slot of events_ its event waits in. A pop moves that one
+  // event out and frees the slot for the next push.
+  std::vector<QueueKey> queue_;
+  std::vector<Event> events_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;           // internal band (derivations)
   std::uint64_t next_external_seq_ = 0;  // external band (scheduled bases)
   LogicalTime now_ = 0;

@@ -13,7 +13,7 @@
 //    first -- those probes are the most selective;
 //  * per-step probe specs: the set of columns bound at probe time, which the
 //    engine turns into an O(1) lookup on the table's secondary hash index
-//    (ndlog/table.h) instead of a full scan;
+//    (runtime/table.h) instead of a full scan;
 //  * slot-compiled assignments, constraints, and head expressions
 //    (ndlog/eval.h, SlotExpr).
 //
@@ -31,7 +31,7 @@
 
 #include "ndlog/eval.h"
 #include "ndlog/program.h"
-#include "ndlog/table.h"
+#include "runtime/table.h"
 
 namespace dp {
 

@@ -1,5 +1,5 @@
 // Open-addressed chain-head index: the hash index of the interning pools
-// (store/store.h) and of the tables' join indexes (ndlog/table.h).
+// (store/store.h) and of the tables' join indexes (runtime/table.h).
 //
 // Maps a 32-bit hash key to the newest entry of the collision chain of
 // entries sharing that key; older entries follow through the owner's own

@@ -75,8 +75,9 @@ TEST(Aggregate, ProvenanceFormsAContributionChain) {
   EXPECT_EQ(count_values, 4);
   // The tree's depth grows with the number of contributions.
   EXPECT_GT(tree.depth(), 12u);
-  // The seed of the chain is the FIRST hit... no: the trigger chain follows
-  // the *latest* appearance at each derive, which is the newest hit.
+  // The seed of the chain is the FIRST hit... no: the walk follows each
+  // derive's recorded trigger, the contribution that fired it, down from
+  // the final count -- the newest hit.
   const auto seed = find_seed(tree);
   ASSERT_TRUE(seed.has_value());
   EXPECT_EQ(seed->tuple.table(), "hit");

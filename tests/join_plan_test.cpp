@@ -176,6 +176,12 @@ Tuple flow(const std::string& node, std::int64_t key, std::int64_t payload) {
   return Tuple("flow", {Value(node), Value(key), Value(payload)});
 }
 
+/// Inserts `t` under its global-store ref, as the engine does.
+Table::InsertResult insert_interned(Table& table, const Tuple& t,
+                                    LogicalTime now) {
+  return table.insert(t, now, intern_tuple(t));
+}
+
 /// The indexed enumeration must equal filtering a full live scan.
 std::vector<Tuple> reference_matches(const Table& table, std::size_t col,
                                      const Value& v) {
@@ -197,8 +203,8 @@ std::vector<Tuple> indexed_matches(const Table& table, std::size_t col,
 TEST(JoinIndex, IsBuiltLazilyAndMatchesAFilteredScan) {
   Table table(keyed_decl());
   for (int k = 0; k < 10; ++k) {
-    table.insert(flow("n1", k, k % 3), 1);
-    table.insert(flow("n2", k, k % 3), 1);
+    insert_interned(table, flow("n1", k, k % 3), 1);
+    insert_interned(table, flow("n2", k, k % 3), 1);
   }
   EXPECT_EQ(table.index_count(), 0u);
   EXPECT_EQ(indexed_matches(table, 2, Value(1)),
@@ -214,17 +220,17 @@ TEST(JoinIndex, IsBuiltLazilyAndMatchesAFilteredScan) {
 
 TEST(JoinIndex, StaysCurrentAcrossInsertUpsertAndDelete) {
   Table table(keyed_decl());
-  for (int k = 0; k < 6; ++k) table.insert(flow("n1", k, k % 2), 1);
+  for (int k = 0; k < 6; ++k) insert_interned(table, flow("n1", k, k % 2), 1);
   ASSERT_EQ(indexed_matches(table, 2, Value(0)).size(), 3u);
 
   // Plain insert after the index exists.
-  table.insert(flow("n1", 100, 0), 2);
+  insert_interned(table, flow("n1", 100, 0), 2);
   EXPECT_EQ(indexed_matches(table, 2, Value(0)),
             reference_matches(table, 2, Value(0)));
 
   // Upsert displacement: same key (n1, 2), new payload. The displaced row
   // must leave the payload-0 bucket and the new one enter payload-7's.
-  const auto result = table.insert(flow("n1", 2, 7), 3);
+  const auto result = insert_interned(table, flow("n1", 2, 7), 3);
   ASSERT_TRUE(result.displaced.has_value());
   EXPECT_EQ(indexed_matches(table, 2, Value(0)),
             reference_matches(table, 2, Value(0)));
@@ -238,14 +244,14 @@ TEST(JoinIndex, StaysCurrentAcrossInsertUpsertAndDelete) {
             reference_matches(table, 2, Value(0)));
 
   // Re-insert of a removed tuple re-enters the bucket.
-  table.insert(flow("n1", 4, 0), 5);
+  insert_interned(table, flow("n1", 4, 0), 5);
   EXPECT_EQ(indexed_matches(table, 2, Value(0)),
             reference_matches(table, 2, Value(0)));
 }
 
 TEST(JoinIndex, MultiColumnProbeAndCopySafety) {
   Table table(keyed_decl());
-  for (int k = 0; k < 8; ++k) table.insert(flow("n1", k, k % 4), 1);
+  for (int k = 0; k < 8; ++k) insert_interned(table, flow("n1", k, k % 4), 1);
   std::vector<Tuple> matched;
   table.for_each_live_matching(
       {0, 2}, {Value("n1"), Value(3)},

@@ -198,6 +198,28 @@ TEST(MrScenarios, Mr2ChangeIsTheMapperChecksum) {
   EXPECT_EQ(change.after->at(1).as_string(), mapper_info("v1").checksum);
 }
 
+TEST(MrScenarios, Mr2DeclarativeFindsTheMapperWhenALineRepeatsAWord) {
+  // Figure 7's corpus shape at seed 1010. One line of part-7.txt carries
+  // word00 at indices 0 and 1, so in the good job the second contribution's
+  // aggregate reads a previous count that appeared one tick after the
+  // contribution itself. The seed walk must still follow the contribution
+  // (the recorded trigger), not the count chain, or the spines diverge at
+  // the aggregate and DiffProv answers not-invertible.
+  CorpusConfig corpus;
+  corpus.files = 8;
+  corpus.lines_per_file = 250;
+  corpus.seed = 1010;
+  const Diagnosis d = diagnose(mr2_declarative(corpus));
+  ASSERT_TRUE(d.result.ok()) << d.result.to_string();
+  ASSERT_EQ(d.result.changes.size(), 1u) << d.result.to_string();
+  const ChangeRecord& change = d.result.changes[0];
+  ASSERT_TRUE(change.before && change.after);
+  EXPECT_EQ(change.before->table(), "mapperCodeG");
+  EXPECT_EQ(change.before->at(1).as_string(), mapper_info("v2").checksum);
+  EXPECT_EQ(change.after->at(1).as_string(), mapper_info("v1").checksum);
+  EXPECT_EQ(d.result.rounds, 2u);
+}
+
 TEST(MrScenarios, ImperativeAndDeclarativeAgreeOnTheRootCause) {
   const Diagnosis di = diagnose(mr1_imperative());
   const Diagnosis dd = diagnose(mr1_declarative());

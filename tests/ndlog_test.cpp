@@ -7,7 +7,8 @@
 #include "ndlog/lexer.h"
 #include "ndlog/parser.h"
 #include "ndlog/program.h"
-#include "ndlog/table.h"
+#include "runtime/table.h"
+#include "store/store.h"
 
 namespace dp {
 namespace {
@@ -65,7 +66,7 @@ TableDecl keyed_decl() {
 TEST(Table, InsertRemoveLifecycle) {
   Table table(keyed_decl());
   const Tuple t("cfg", {Value("n"), Value("k"), Value(1)});
-  EXPECT_TRUE(table.insert(t, 10).inserted);
+  EXPECT_TRUE(table.insert(t, 10, intern_tuple(t)).inserted);
   EXPECT_TRUE(table.is_live(t));
   EXPECT_TRUE(table.existed_at(t, 10));
   EXPECT_FALSE(table.existed_at(t, 9));
@@ -79,8 +80,8 @@ TEST(Table, KeyUpsertDisplacesOldValue) {
   Table table(keyed_decl());
   const Tuple v1("cfg", {Value("n"), Value("k"), Value(1)});
   const Tuple v2("cfg", {Value("n"), Value("k"), Value(2)});
-  table.insert(v1, 10);
-  const auto result = table.insert(v2, 20);
+  table.insert(v1, 10, intern_tuple(v1));
+  const auto result = table.insert(v2, 20, intern_tuple(v2));
   EXPECT_TRUE(result.inserted);
   ASSERT_TRUE(result.displaced.has_value());
   EXPECT_EQ(result.displaced->tuple, v1);
@@ -94,17 +95,17 @@ TEST(Table, KeyUpsertDisplacesOldValue) {
 TEST(Table, DuplicateInsertIsNoOp) {
   Table table(keyed_decl());
   const Tuple t("cfg", {Value("n"), Value("k"), Value(1)});
-  EXPECT_TRUE(table.insert(t, 10).inserted);
-  EXPECT_FALSE(table.insert(t, 15).inserted);
+  EXPECT_TRUE(table.insert(t, 10, intern_tuple(t)).inserted);
+  EXPECT_FALSE(table.insert(t, 15, intern_tuple(t)).inserted);
   EXPECT_EQ(table.history(t).size(), 1u);
 }
 
 TEST(Table, ReinsertionAppendsSecondInterval) {
   Table table(keyed_decl());
   const Tuple t("cfg", {Value("n"), Value("k"), Value(1)});
-  table.insert(t, 10);
+  table.insert(t, 10, intern_tuple(t));
   table.remove(t, 20);
-  table.insert(t, 30);
+  table.insert(t, 30, intern_tuple(t));
   const auto history = table.history(t);
   ASSERT_EQ(history.size(), 2u);
   EXPECT_EQ(history[0], (TimeInterval{10, 20}));
@@ -121,8 +122,8 @@ TEST(Table, SetSemanticsWithoutKeys) {
   Table table(decl);
   const Tuple a("s", {Value("n"), Value(1)});
   const Tuple b("s", {Value("n"), Value(2)});
-  table.insert(a, 1);
-  const auto result = table.insert(b, 2);
+  table.insert(a, 1, intern_tuple(a));
+  const auto result = table.insert(b, 2, intern_tuple(b));
   EXPECT_TRUE(result.inserted);
   EXPECT_FALSE(result.displaced.has_value());  // different full tuples coexist
   EXPECT_EQ(table.live_count(), 2u);
@@ -132,8 +133,8 @@ TEST(Table, ForEachAtSeesHistoricalState) {
   Table table(keyed_decl());
   const Tuple v1("cfg", {Value("n"), Value("k"), Value(1)});
   const Tuple v2("cfg", {Value("n"), Value("k"), Value(2)});
-  table.insert(v1, 10);
-  table.insert(v2, 20);  // displaces v1
+  table.insert(v1, 10, intern_tuple(v1));
+  table.insert(v2, 20, intern_tuple(v2));  // displaces v1
   std::vector<Tuple> at15;
   table.for_each_at(15, [&](const Tuple& t) { at15.push_back(t); });
   ASSERT_EQ(at15.size(), 1u);

@@ -853,15 +853,21 @@ TEST(Sketch, ScrapesRacingObserversAgreeOnTheCount) {
   // +Inf bucket, _count and _sketch_count are exactly one number.
   obs::MetricsRegistry registry;
   obs::QuantileSketch& sketch = registry.sketch("dp.test.race_us");
+  constexpr int kObservers = 4;
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
   std::vector<std::thread> observers;
-  for (int t = 0; t < 4; ++t) {
-    observers.emplace_back([&sketch, &stop, t] {
+  for (int t = 0; t < kObservers; ++t) {
+    observers.emplace_back([&sketch, &stop, &started, t] {
       for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         sketch.observe(static_cast<double>((t * 997 + i) % 5000) + 0.5);
+        if (i == 0) started.fetch_add(1);
       }
     });
   }
+  // Scrape only once every observer has observed: a starved thread (CPU
+  // load) must not leave the race unexercised or the sketch empty.
+  while (started.load() < kObservers) std::this_thread::yield();
   for (int scrape = 0; scrape < 200; ++scrape) {
     const std::string text = registry.to_prometheus();
     const obs::PrometheusCheck check = obs::check_prometheus_text(text);

@@ -15,8 +15,8 @@
 #include "diffprov/treediff.h"
 #include "ndlog/functions.h"
 #include "ndlog/parser.h"
-#include "ndlog/table.h"
 #include "replay/event_log.h"
+#include "runtime/table.h"
 #include "util/rng.h"
 
 namespace dp {
@@ -141,7 +141,7 @@ TEST_P(TableProperties, IntervalsAreOrderedDisjointAndKeyUnique) {
     now += 1 + LogicalTime(rng.next_below(5));
     const Tuple& t = universe[rng.next_below(universe.size())];
     if (rng.next_bool(0.6)) {
-      table.insert(t, now);
+      table.insert(t, now, intern_tuple(t));
     } else {
       table.remove(t, now);
     }
