@@ -98,6 +98,45 @@ BENCHMARK(BM_JoinIndex)
     ->Args({4000, 0})
     ->Args({4000, 1});
 
+/// The full-scan reference evaluator over a table that changes with every
+/// event: each logical time adds a row with a new key to `left`, deletes its
+/// oldest row and sends one probe whose rule scans `left`. A table keeps its
+/// key order once scanned, so each change costs a binary search, not a
+/// re-sort before the next scan.
+void BM_FullScanChurn(benchmark::State& state) {
+  const auto rows = state.range(0);
+  constexpr std::int64_t kSteps = 500;
+  EngineConfig config;
+  config.use_join_plans = false;
+  const Program program = parse_program(R"(
+    table probe(2) base immutable event.
+    table left(3) keys(0, 1) base mutable.
+    table out(3) derived event.
+    rule j out(@N, K, V) :- probe(@N, K), left(@N, J, V), J < K.
+  )");
+  for (auto _ : state) {
+    state.PauseTiming();
+    Engine engine(program, config);
+    for (std::int64_t k = 0; k < rows; ++k) {
+      engine.schedule_insert(Tuple("left", {Value("n1"), Value(k), Value(k)}),
+                             0);
+    }
+    engine.run_until(0);
+    for (std::int64_t s = 1; s <= kSteps; ++s) {
+      engine.schedule_insert(
+          Tuple("left", {Value("n1"), Value(rows + s), Value(rows + s)}), s);
+      engine.schedule_delete(
+          Tuple("left", {Value("n1"), Value(s - 1), Value(s - 1)}), s);
+      engine.schedule_insert(Tuple("probe", {Value("n1"), Value(s + 3)}), s);
+    }
+    state.ResumeTiming();
+    engine.run();
+    benchmark::DoNotOptimize(engine.stats().derivations);
+  }
+  state.SetItemsProcessed(kSteps * state.iterations());
+}
+BENCHMARK(BM_FullScanChurn)->Arg(2000)->Unit(benchmark::kMillisecond);
+
 /// Same, with the provenance recorder attached (the "infer" mode cost).
 void BM_EngineWithProvenance(benchmark::State& state) {
   const auto packets = static_cast<std::size_t>(state.range(0));

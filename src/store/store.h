@@ -43,10 +43,22 @@
 #include "ndlog/value.h"
 #include "obs/metrics.h"
 #include "store/chunked_array.h"
-#include "store/refs.h"
 #include "util/chain_heads.h"
 
 namespace dp {
+
+/// Handle of an interned Value. Equal refs <=> equal values (per pool).
+using ValueRef = std::uint32_t;
+inline constexpr ValueRef kNoValueRef = static_cast<ValueRef>(-1);
+
+/// Handle of an interned Tuple. Equal refs <=> structurally equal tuples
+/// (per store).
+using TupleRef = std::uint32_t;
+inline constexpr TupleRef kNoTupleRef = static_cast<TupleRef>(-1);
+
+/// Handle of an interned name (table or rule). kNoName renders as "".
+using NameRef = std::uint32_t;
+inline constexpr NameRef kNoName = static_cast<NameRef>(-1);
 
 /// Deduplicating value storage. Each distinct Value is stored once; interning
 /// an equal value again returns the original ref (hash-consing with full
