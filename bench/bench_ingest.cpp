@@ -3,8 +3,7 @@
 //
 //   append throughput   events/s of the live tap: records appended one at a
 //                       time into an IngestStream, each fed straight into
-//                       the resident engine (epochs sealing, checkpoints
-//                       capturing as configured)
+//                       the resident engine
 //   snapshot cadence    the same feed with a diagnosis snapshot drained
 //                       every N events, which is the daemon's steady state
 //                       of interleaved appends and queries
@@ -87,10 +86,9 @@ double bench_append(const service::Problem& problem,
                     const std::vector<LogRecord>& records,
                     std::size_t snapshot_every) {
   obs::MetricsRegistry registry;
-  ingest::IngestOptions options;  // defaults: the daemon's configuration
   ingest::IngestStream stream("bench", problem.program, problem.topology,
                               problem.good_event, problem.bad_event,
-                              ReplayOptions{}, options, registry);
+                              ReplayOptions{}, registry);
   const WallTimer timer;
   std::size_t since_snapshot = 0;
   for (const LogRecord& record : records) {
@@ -140,7 +138,7 @@ double bench_stream_query(const service::Problem& problem, int reps) {
     std::fprintf(stderr, "open_stream failed: %s\n", opened.error.c_str());
     std::exit(1);
   }
-  const auto fed = svc.ingest("live", problem.log.to_text(), /*seal=*/true);
+  const auto fed = svc.ingest("live", problem.log.to_text());
   if (!fed.ok) {
     std::fprintf(stderr, "ingest failed: %s\n", fed.error.c_str());
     std::exit(1);

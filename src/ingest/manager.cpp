@@ -5,11 +5,9 @@
 namespace dp::ingest {
 
 IngestManager::IngestManager(ReplayOptions options,
-                             IngestOptions ingest_options,
                              obs::MetricsRegistry& registry,
                              std::function<void(std::uint64_t)> publish_bytes)
     : options_(std::move(options)),
-      ingest_options_(ingest_options),
       registry_(&registry),
       publish_bytes_(std::move(publish_bytes)),
       streams_gauge_(registry.gauge("dp.ingest.streams")),
@@ -25,7 +23,7 @@ std::shared_ptr<IngestStream> IngestManager::open(
     if (it != streams_.end()) return it->second;
     stream = std::make_shared<IngestStream>(
         name, std::move(program), std::move(topology), std::move(good_event),
-        std::move(bad_event), options_, ingest_options_, *registry_);
+        std::move(bad_event), options_, *registry_);
     streams_.emplace(name, stream);
     streams_gauge_.set(static_cast<std::int64_t>(streams_.size()));
   }
@@ -69,15 +67,6 @@ std::uint64_t IngestManager::resident_bytes() const {
   std::uint64_t total = 0;
   for (const auto& stream : snapshot()) total += stream->resident_bytes();
   return total;
-}
-
-void IngestManager::maintain(bool under_pressure) {
-  for (const auto& stream : snapshot()) {
-    std::unique_lock<std::mutex> lock(stream->mutex(), std::try_to_lock);
-    if (!lock.owns_lock()) continue;  // appender or diagnosis active
-    stream->maintain(under_pressure);
-  }
-  publish();
 }
 
 void IngestManager::publish() {

@@ -1,12 +1,9 @@
 // Keyed registry of live ingest streams.
 //
 // The diagnosis service owns one IngestManager: `open` creates (or returns)
-// the stream for a name, `find` resolves query routing, `maintain` runs one
-// compaction/truncation pass across all streams (driven from the service
-// watchdog tick; busy streams are skipped via try_lock so a long diagnosis
-// never stalls the tick), and `publish` pushes the summed resident bytes to
-// the warm-budget ledger callback so ingest memory is billed alongside warm
-// sessions.
+// the stream for a name, `find` resolves query routing, and `publish` pushes
+// the summed resident bytes to the warm-budget ledger callback so ingest
+// memory is billed alongside warm sessions.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +23,9 @@ namespace dp::ingest {
 class IngestManager {
  public:
   /// `publish_bytes`, when set, receives the total resident bytes across all
-  /// streams after every open/maintain/publish (the service wires this to a
+  /// streams after every open/publish (the service wires this to a
   /// WarmBudgetLedger slot).
-  IngestManager(ReplayOptions options, IngestOptions ingest_options,
-                obs::MetricsRegistry& registry,
+  IngestManager(ReplayOptions options, obs::MetricsRegistry& registry,
                 std::function<void(std::uint64_t)> publish_bytes = {});
 
   /// Returns the stream for `name`, creating it on first open. An existing
@@ -54,11 +50,6 @@ class IngestManager {
   /// published footprint).
   [[nodiscard]] std::uint64_t resident_bytes() const;
 
-  /// One maintenance pass over every stream (truncation + compaction), then
-  /// republish resident bytes. Streams whose mutex is busy are skipped this
-  /// tick.
-  void maintain(bool under_pressure);
-
   /// Recompute and push the resident total (gauge + ledger callback).
   void publish();
 
@@ -66,7 +57,6 @@ class IngestManager {
   [[nodiscard]] std::vector<std::shared_ptr<IngestStream>> snapshot() const;
 
   ReplayOptions options_;
-  IngestOptions ingest_options_;
   obs::MetricsRegistry* registry_;
   std::function<void(std::uint64_t)> publish_bytes_;
 

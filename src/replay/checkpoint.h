@@ -10,7 +10,6 @@
 // ablation bench compares suffix-replay-from-checkpoint against full replay.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "runtime/engine.h"
@@ -27,10 +26,6 @@ class Checkpoint {
     return tuples_;
   }
   [[nodiscard]] LogicalTime captured_at() const { return captured_at_; }
-
-  /// Binary round-trip, reusing the event-log record format.
-  void serialize(std::ostream& out) const;
-  static Checkpoint deserialize(std::istream& in);
 
  private:
   std::vector<Tuple> tuples_;

@@ -146,12 +146,7 @@ std::string handle_probe(DiagnosisService& service, const Json& request) {
 
 std::string render_stream_stats(const ingest::IngestStreamStats& s) {
   std::ostringstream out;
-  out << "{\"events\":" << s.events << ",\"sealed_epochs\":" << s.sealed_epochs
-      << ",\"open_records\":" << s.open_records
-      << ",\"segments\":" << s.segments << ",\"checkpoints\":" << s.checkpoints
-      << ",\"segments_compacted\":" << s.segments_compacted
-      << ",\"truncated_segments\":" << s.truncated_segments
-      << ",\"truncated_bytes\":" << s.truncated_bytes
+  out << "{\"events\":" << s.events
       << ",\"live_rebuilds\":" << s.live_rebuilds
       << ",\"snapshots\":" << s.snapshots
       << ",\"resident_bytes\":" << s.resident_bytes
@@ -176,8 +171,7 @@ std::string handle_ingest_open(DiagnosisService& service,
 std::string handle_ingest(DiagnosisService& service, const Json& request) {
   const std::string stream = request.get_string("stream");
   if (stream.empty()) return error_response("ingest needs \"stream\"");
-  return ingest_response(service.ingest(stream, request.get_string("events"),
-                                        request.get_bool("seal")));
+  return ingest_response(service.ingest(stream, request.get_string("events")));
 }
 
 std::string handle_stats(DiagnosisService& service) {
@@ -216,10 +210,6 @@ std::string handle_stats(DiagnosisService& service) {
   out << "}"
       << ",\"ingest\":{\"streams\":" << stats.ingest_streams
       << ",\"events\":" << stats.ingest_events
-      << ",\"epochs\":" << stats.ingest_epochs
-      << ",\"segments\":" << stats.ingest_segments
-      << ",\"segments_compacted\":" << stats.ingest_segments_compacted
-      << ",\"truncated_bytes\":" << stats.ingest_truncated_bytes
       << ",\"resident_bytes\":" << stats.ingest_resident_bytes
       << ",\"per_stream\":{";
   first = true;

@@ -121,10 +121,7 @@ std::string ServiceStats::to_text() const {
       << queue_capacity << " sessions " << sessions << " (" << warm_sessions
       << " warm, " << warm_resident_bytes << " resident bytes)\n"
       << "ingest streams " << ingest_streams << " events " << ingest_events
-      << " epochs " << ingest_epochs << " segments " << ingest_segments
-      << " (compacted " << ingest_segments_compacted << ", truncated "
-      << ingest_truncated_bytes << " bytes, " << ingest_resident_bytes
-      << " resident bytes)\n";
+      << " (" << ingest_resident_bytes << " resident bytes)\n";
   for (const auto& [key, s] : per_session) {
     out << "  session " << key << ": queries " << s.queries << " warm_hits "
         << s.warm_hits << " cold_replays " << s.cold_replays << " probes "
@@ -132,9 +129,7 @@ std::string ServiceStats::to_text() const {
         << "\n";
   }
   for (const auto& [name, s] : per_stream) {
-    out << "  stream " << name << ": events " << s.events << " epochs "
-        << s.sealed_epochs << " (+" << s.open_records << " open) segments "
-        << s.segments << " checkpoints " << s.checkpoints << " snapshots "
+    out << "  stream " << name << ": events " << s.events << " snapshots "
         << s.snapshots << " rebuilds " << s.live_rebuilds << "\n";
   }
   return out.str();
@@ -204,10 +199,9 @@ DiagnosisService::DiagnosisService(ServiceConfig config)
     }
   }
   // Ingest streams bill their resident bytes into the ledger's extra slot,
-  // so warm sessions and live graphs spend one shared budget. Created before
-  // the watchdog, whose tick drives stream maintenance.
+  // so warm sessions and live graphs spend one shared budget.
   ingest_ = std::make_unique<ingest::IngestManager>(
-      replay_options_, config_.ingest, *registry_,
+      replay_options_, *registry_,
       [ledger = ledger_, slot = nshards](std::uint64_t bytes) {
         ledger->publish(slot, bytes);
       });
@@ -478,10 +472,6 @@ void DiagnosisService::watchdog_loop() {
     // timestamps are accurate to ~one interval even on threads that record
     // rarely.
     obs::Recorder::refresh_clock();
-    // Ingest maintenance rides the tick: one compaction/truncation pass over
-    // every idle stream (busy ones are try_lock-skipped), with pressure
-    // truncation when the shared warm/ingest byte budget is exceeded.
-    ingest_->maintain(/*under_pressure=*/ledger_->over_budget());
     if (deadline_us == 0) continue;
     const std::uint64_t now = obs::monotonic_micros();
     std::int64_t stuck = 0;
@@ -876,8 +866,7 @@ IngestOutcome DiagnosisService::open_stream(const std::string& name,
 }
 
 IngestOutcome DiagnosisService::ingest(const std::string& name,
-                                       const std::string& events_text,
-                                       bool seal) {
+                                       const std::string& events_text, bool) {
   IngestOutcome out;
   std::shared_ptr<ingest::IngestStream> stream = ingest_->find(name);
   if (stream == nullptr) {
@@ -888,7 +877,6 @@ IngestOutcome DiagnosisService::ingest(const std::string& name,
   try {
     std::lock_guard<std::mutex> lock(stream->mutex());
     out.accepted = stream->append_text(events_text);
-    if (seal) stream->seal();
     out.stream = stream->stats();
   } catch (const std::exception& e) {
     out.error = e.what();
@@ -930,10 +918,6 @@ ServiceStats DiagnosisService::stats() const {
   stats.ingest_streams = stats.per_stream.size();
   for (const auto& [name, s] : stats.per_stream) {
     stats.ingest_events += s.events;
-    stats.ingest_epochs += s.sealed_epochs;
-    stats.ingest_segments += s.segments;
-    stats.ingest_segments_compacted += s.segments_compacted;
-    stats.ingest_truncated_bytes += s.truncated_bytes;
     stats.ingest_resident_bytes += s.resident_bytes;
   }
   return stats;

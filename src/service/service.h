@@ -97,12 +97,6 @@ struct ServiceConfig {
   /// Replay knobs shared by every session (engine_config.metrics is pointed
   /// at the service registry when unset).
   ReplayOptions replay;
-  /// Live-ingest stream knobs (epoch size, checkpoint cadence, compaction
-  /// watermark, truncation retention), shared by every stream this service
-  /// opens. Ingest resident bytes are billed against `warm_bytes_budget`
-  /// through the shared ledger; the over-budget signal drives pressure
-  /// truncation on the watchdog tick.
-  ingest::IngestOptions ingest;
   /// Watchdog deadline: a worker busy on one job longer than this is
   /// counted in the dp.service.worker.stuck gauge and triggers one flight-
   /// recorder dump per stuck episode. Zero disables the stuck check (the
@@ -182,7 +176,7 @@ struct SubmitOutcome {
 };
 
 /// Result of an ingest control call (open_stream / ingest): the error, or a
-/// post-call snapshot of the stream's tiering state.
+/// post-call snapshot of the stream's stats.
 struct IngestOutcome {
   bool ok = false;
   std::string error;
@@ -213,10 +207,6 @@ struct ServiceStats {
   // Live-ingest tier, summed across streams (per_stream has the breakdown).
   std::size_t ingest_streams = 0;
   std::uint64_t ingest_events = 0;
-  std::uint64_t ingest_epochs = 0;
-  std::uint64_t ingest_segments = 0;
-  std::uint64_t ingest_segments_compacted = 0;
-  std::uint64_t ingest_truncated_bytes = 0;
   std::uint64_t ingest_resident_bytes = 0;
   std::vector<std::pair<std::string, ingest::IngestStreamStats>> per_stream;
 
@@ -264,12 +254,13 @@ class DiagnosisService {
                             const std::string& program_text = "");
 
   /// Appends one batch of events (EventLog text form) to a live stream and
-  /// feeds them straight into its resident engine; `seal` forces an epoch
-  /// boundary after the batch. The whole batch is validated before any
-  /// record applies, so a malformed or out-of-order batch never
-  /// half-applies.
+  /// feeds them straight into its resident engine. The whole batch is
+  /// validated before any record applies, so a malformed or out-of-order
+  /// batch never half-applies. The unnamed bool is ignored. It is kept only
+  /// because perfbench/serve.cpp passes one, and the benchmark's sources
+  /// change only together with the benchmark itself.
   IngestOutcome ingest(const std::string& name, const std::string& events_text,
-                       bool seal = false);
+                       bool = false);
 
   /// The live-ingest stream registry (tests and benches reach streams
   /// directly; queries go through submit with Query::stream).
@@ -390,8 +381,7 @@ class DiagnosisService {
   std::vector<std::unique_ptr<Shard>> shards_;
   StripedResultCache cache_;
   /// Live-ingest streams; publishes resident bytes into the ledger's extra
-  /// slot (index = shard count). Created before the watchdog thread, which
-  /// drives its maintenance pass.
+  /// slot (index = shard count).
   std::unique_ptr<ingest::IngestManager> ingest_;
 
   std::atomic<bool> accepting_{true};

@@ -133,8 +133,7 @@ class WarmBudgetLedger {
   /// `extra_slots` = additional slots beyond the shards for other resident
   /// tiers (the live-ingest streams publish into slot `shards`): they hold
   /// no nominal share, but their bytes count toward global_usage(), so a
-  /// growing ingest tier pushes the warm set toward cooling -- and flips
-  /// over_budget(), which the ingest maintenance pass reads as pressure.
+  /// growing ingest tier pushes the warm set toward cooling.
   WarmBudgetLedger(std::uint64_t total_bytes, std::size_t shards,
                    std::size_t extra_slots = 0);
 

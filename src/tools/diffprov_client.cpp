@@ -43,8 +43,7 @@ constexpr const char* kUsage =
     "      --program FILE opens over an inline program instead\n"
     "  --ingest NAME --events FILE           stream events (EventLog text,\n"
     "      \"-\" = stdin) into a live stream; --batch N sends N events per\n"
-    "      request (default: one request), --seal forces an epoch boundary\n"
-    "      after the last batch\n"
+    "      request (default: one request)\n"
     "  --probe 'TUPLE' --scenario NAME       live-state probe\n"
     "  --poll ID | --cancel ID               inspect/cancel a past query\n"
     "  --stats                               server counters\n"
@@ -192,7 +191,7 @@ int main(int argc, char** argv) {
   std::string stream, ingest_open_name, ingest_name, events_path;
   std::size_t ingest_batch = 0;  // 0 = the whole file in one request
   bool auto_reference = false, minimize = false, bypass_cache = false;
-  bool stats = false, shutdown = false, meta = false, seal = false;
+  bool stats = false, shutdown = false, meta = false;
   bool explain = false, flightrec = false, slowz = false;
   std::uint64_t trace_id = 0;  // 0 = mint one per invocation
   std::optional<std::uint64_t> poll_id, cancel_id;
@@ -266,8 +265,6 @@ int main(int argc, char** argv) {
         auto v = next("events per request");
         if (!v) return 2;
         ingest_batch = std::stoul(*v);
-      } else if (arg == "--seal") {
-        seal = true;
       } else if (arg == "--probe") {
         auto v = next("a tuple");
         if (!v) return 2;
@@ -466,12 +463,10 @@ int main(int argc, char** argv) {
       }
       std::size_t accepted = 0;
       Json last;
-      for (std::size_t b = 0; b < batches.size(); ++b) {
+      for (const std::string& batch : batches) {
         std::ostringstream request;
         request << "{\"op\":\"ingest\",\"stream\":" << json_quote(ingest_name)
-                << ",\"events\":" << json_quote(batches[b]);
-        if (seal && b + 1 == batches.size()) request << ",\"seal\":true";
-        request << "}";
+                << ",\"events\":" << json_quote(batch) << "}";
         last = connection.round_trip(request.str());
         if (!last.get_bool("ok")) {
           std::cerr << last.get_string("error", "ingest failed") << "\n";
@@ -484,11 +479,7 @@ int main(int argc, char** argv) {
       if (s != nullptr && s->kind == Json::Kind::kObject) {
         std::cout << " (total "
                   << static_cast<long long>(s->get_number("events"))
-                  << " events, "
-                  << static_cast<long long>(s->get_number("sealed_epochs"))
-                  << " epochs, "
-                  << static_cast<long long>(s->get_number("segments"))
-                  << " segments)";
+                  << " events)";
       }
       std::cout << "\n";
       return 0;

@@ -26,8 +26,6 @@ constexpr const char* kUsage =
     "                 [--warm-bytes N] [--cache-cap N] [--cache-stripes N]\n"
     "                 [--config-epoch N] [--metrics-out FILE]\n"
     "                 [--trace-out FILE] [--worker-deadline-ms N]\n"
-    "                 [--ingest-epoch N] [--ingest-checkpoint-every N]\n"
-    "                 [--ingest-compact N] [--ingest-retain N]\n"
     "                 [--slow-ms N] [--slow-factor K] [--slow-cap N]\n"
     "                 [--profile-interval-ms N]\n"
     "\n"
@@ -44,11 +42,7 @@ constexpr const char* kUsage =
     "\n"
     "live ingest: {\"op\":\"ingest_open\"} + {\"op\":\"ingest\"} stream base\n"
     "events into an always-current provenance graph; submit with\n"
-    "\"stream\" diagnoses against it without replay. --ingest-epoch sets\n"
-    "events per epoch (default 256), --ingest-checkpoint-every the\n"
-    "checkpoint cadence in epochs (default 4), --ingest-compact the\n"
-    "resident-segment watermark (default 8), --ingest-retain the\n"
-    "checkpoint-covered epochs kept before truncation (default 8).\n"
+    "\"stream\" diagnoses against it without replay.\n"
     "\n"
     "the same port answers HTTP GETs: /metrics (Prometheus text, with\n"
     "dp.*_p50/_p95/_p99/_p999 quantile-sketch series), /healthz, /tracez\n"
@@ -133,22 +127,6 @@ int main(int argc, char** argv) {
         auto v = next("a number");
         if (!v) return 2;
         config.config_epoch = std::stoull(*v);
-      } else if (arg == "--ingest-epoch") {
-        auto v = next("events per epoch");
-        if (!v) return 2;
-        config.ingest.epoch_events = std::stoul(*v);
-      } else if (arg == "--ingest-checkpoint-every") {
-        auto v = next("an epoch count (0 = never)");
-        if (!v) return 2;
-        config.ingest.checkpoint_every_epochs = std::stoul(*v);
-      } else if (arg == "--ingest-compact") {
-        auto v = next("a segment watermark (0 = off)");
-        if (!v) return 2;
-        config.ingest.compact_watermark = std::stoul(*v);
-      } else if (arg == "--ingest-retain") {
-        auto v = next("an epoch count");
-        if (!v) return 2;
-        config.ingest.retain_epochs = std::stoul(*v);
       } else if (arg == "--profile-interval-ms") {
         auto v = next("milliseconds");
         if (!v) return 2;
@@ -212,11 +190,7 @@ int main(int argc, char** argv) {
     std::cout << "diffprovd listening on 127.0.0.1:" << daemon.port() << " ("
               << service.shard_count() << " shards x " << config.workers
               << " workers, queue " << config.queue_capacity
-              << "/shard; ingest epoch " << config.ingest.epoch_events
-              << " events, checkpoint/" << config.ingest.checkpoint_every_epochs
-              << " epochs, compact@" << config.ingest.compact_watermark
-              << " segments, retain " << config.ingest.retain_epochs
-              << " epochs)" << std::endl;
+              << "/shard)" << std::endl;
 
     daemon.serve();
     service.shutdown(/*drain=*/true);

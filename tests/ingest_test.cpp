@@ -1,12 +1,10 @@
 // Tests for the streaming-ingest subsystem (src/ingest): byte-identity of
 // live-stream diagnoses with the one-shot CLI's batch replay (the contract:
 // a diagnosis against the always-current graph equals a cold replay of the
-// same prefix, bit for bit), segment/checkpoint wire hardening in the
-// serialization_test style (randomized round-trips, every truncation offset
-// a clean torn tail), tier maintenance (compaction and epoch-bounded
-// truncation never change answers), and the service-level wiring: stream
-// queries, the ingest_snapshot_us explain phase, NDJSON ingest ops, and the
-// TSan target where appenders, queries, and maintenance race on one stream.
+// same prefix, bit for bit), stale-append rebuilds, batch validation, and
+// the service-level wiring: stream queries, the ingest_snapshot_us explain
+// phase, NDJSON ingest ops, and the TSan target where appenders, queries,
+// and stats readers race on one stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "ingest/manager.h"
-#include "ingest/segment.h"
 #include "ingest/stream.h"
 #include "ndlog/parser.h"
 #include "obs/json_check.h"
@@ -28,7 +25,6 @@
 #include "service/protocol.h"
 #include "service/service.h"
 #include "tools/cli.h"
-#include "util/rng.h"
 
 namespace dp::ingest {
 namespace {
@@ -109,13 +105,11 @@ TEST(IngestStream, ByteIdenticalToBatchReplayAtEveryCut) {
   for (const char* name : kAllScenarios) {
     const service::Problem problem = scenario(name);
     obs::MetricsRegistry registry;
-    IngestOptions ingest;
-    ingest.epoch_events = 5;  // several epoch boundaries per scenario
     IngestStream stream(name, problem.program, problem.topology,
                         problem.good_event, problem.bad_event, ReplayOptions{},
-                        ingest, registry);
+                        registry);
 
-    // Cuts: the first epoch boundary, a mid-epoch point, and the full log.
+    // Cuts: an early prefix, two thirds of the log, and the full log.
     const std::size_t total = problem.log.size();
     ASSERT_GT(total, 0u) << name;
     std::vector<std::size_t> cuts = {std::min<std::size_t>(5, total),
@@ -142,9 +136,9 @@ TEST(IngestStream, ByteIdenticalToBatchReplayAtEveryCut) {
 TEST(IngestStream, SameTimeAppendRunsStraddlingEpochSealsStayIdentical) {
   // Live-tap appends that share a timestamp are left queued (feed_live only
   // advances the engine when it is behind) and drain through the engine's
-  // batched execution path at the next snapshot. Make those runs straddle
-  // epoch seals -- and a mid-run checkpoint capture -- and check every cut
-  // is still byte-identical to a cold batch replay of the same prefix.
+  // batched execution path at the next snapshot. Cut inside each same-time
+  // run and check every cut is still byte-identical to a cold batch replay
+  // of the same prefix.
   service::Problem problem;
   problem.program = parse_program(R"(
     table src(2) keys(0, 1) base mutable.
@@ -165,80 +159,13 @@ TEST(IngestStream, SameTimeAppendRunsStraddlingEpochSealsStayIdentical) {
   problem.bad_event = Tuple("reach", {Value("n1"), Value(3), Value(103)});
 
   obs::MetricsRegistry registry;
-  IngestOptions ingest;
-  ingest.epoch_events = 4;           // seals land mid same-time run
-  ingest.checkpoint_every_epochs = 1;  // capture with a batch still queued
   IngestStream stream("straddle", problem.program, problem.topology,
                       problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
+                      registry);
   std::size_t fed = 0;
   for (const std::size_t cut : {std::size_t{7}, std::size_t{13}, log.size()}) {
     for (; fed < cut; ++fed) stream.append(log.records()[fed]);
     check_cut(stream, problem, cut, "straddle cut@" + std::to_string(cut));
-  }
-  EXPECT_GE(stream.stats().sealed_epochs, 4u);
-  EXPECT_GE(stream.stats().checkpoints, 1u);
-}
-
-TEST(IngestStream, CompactionNeverChangesAnswers) {
-  const service::Problem problem = scenario("sdn1");
-  obs::MetricsRegistry registry;
-  IngestOptions ingest;
-  ingest.epoch_events = 2;  // many small epochs -> segments to merge
-  ingest.checkpoint_every_epochs = 2;
-  ingest.compact_watermark = 2;
-  ingest.retain_epochs = 1000;  // retention never truncates; isolate merging
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
-  for (const LogRecord& record : problem.log.records()) stream.append(record);
-  stream.seal();
-  const std::uint32_t sealed = stream.stats().sealed_epochs;
-  ASSERT_GT(sealed, 2u);
-
-  stream.maintain(/*under_pressure=*/false);
-  const IngestStreamStats stats = stream.stats();
-  EXPECT_GT(stats.compactions, 0u);
-  EXPECT_GT(stats.segments_compacted, 0u);
-  EXPECT_EQ(stats.segments, ingest.compact_watermark);
-  EXPECT_EQ(stats.sealed_epochs, sealed) << "merging drops no epochs";
-  std::size_t sealed_records = 0;
-  for (const auto& segment : stream.segments()) {
-    sealed_records += segment->size();
-  }
-  EXPECT_EQ(sealed_records + stats.open_records, problem.log.size());
-  check_cut(stream, problem, problem.log.size(), "after compaction");
-}
-
-TEST(IngestStream, PressureTruncationNeverChangesAnswers) {
-  const service::Problem problem = scenario("sdn1");
-  obs::MetricsRegistry registry;
-  IngestOptions ingest;
-  ingest.epoch_events = 2;
-  ingest.checkpoint_every_epochs = 2;
-  ingest.compact_watermark = 0;  // no merging; isolate truncation
-  ingest.retain_epochs = 1;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
-  for (const LogRecord& record : problem.log.records()) stream.append(record);
-  stream.seal();
-
-  // Memory pressure: every checkpoint-covered segment goes; answers hold
-  // because the full in-memory prefix is retained.
-  stream.maintain(/*under_pressure=*/true);
-  const IngestStreamStats stats = stream.stats();
-  EXPECT_GT(stats.truncated_segments, 0u);
-  EXPECT_GT(stats.truncated_bytes, 0u);
-  check_cut(stream, problem, problem.log.size(), "after pressure truncation");
-  EXPECT_EQ(stream.log().size(), problem.log.size())
-      << "truncation must only drop storage-tier segments";
-
-  // The remaining segments still form an adjacent epoch chain (truncation
-  // removes only a prefix), so bootstrap and compaction stay well-formed.
-  for (std::size_t i = 1; i < stream.segments().size(); ++i) {
-    EXPECT_EQ(stream.segments()[i - 1]->last_epoch() + 1,
-              stream.segments()[i]->first_epoch());
   }
 }
 
@@ -247,7 +174,7 @@ TEST(IngestStream, StaleAppendFallsBackToOneRebuild) {
   obs::MetricsRegistry registry;
   IngestStream stream("sdn1", problem.program, problem.topology,
                       problem.good_event, problem.bad_event, ReplayOptions{},
-                      IngestOptions{}, registry);
+                      registry);
   const auto& records = problem.log.records();
   const std::size_t half = records.size() / 2;
   for (std::size_t i = 0; i < half; ++i) stream.append(records[i]);
@@ -289,7 +216,7 @@ TEST(IngestStream, RejectsOutOfOrderAndHalfBatches) {
   obs::MetricsRegistry registry;
   IngestStream stream("sdn1", problem.program, problem.topology,
                       problem.good_event, problem.bad_event, ReplayOptions{},
-                      IngestOptions{}, registry);
+                      registry);
   const std::string text = problem.log.to_text();
   const std::size_t appended = stream.append_text(text);
   EXPECT_EQ(appended, problem.log.size());
@@ -313,245 +240,6 @@ TEST(IngestStream, RejectsOutOfOrderAndHalfBatches) {
                std::exception);
   EXPECT_EQ(stream.log().size(), before);
   EXPECT_EQ(stream.watermark(), watermark);
-}
-
-// -------------------------------------------- checkpoint + bootstrap --
-
-std::vector<std::string> base_table_rows(const Engine& engine,
-                                         const Program& program) {
-  std::vector<std::string> rows;
-  for (const auto& [name, decl] : program.tables()) {
-    if (decl.kind != TupleKind::kBase || decl.is_event()) continue;
-    for (const Tuple& tuple : engine.live_tuples(name)) {
-      rows.push_back(name + ":" + tuple.to_string());
-    }
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-TEST(IngestStream, BootstrapFromCheckpointMatchesBatchBaseState) {
-  const service::Problem problem = scenario("sdn2");
-  obs::MetricsRegistry registry;
-  IngestOptions ingest;
-  ingest.epoch_events = 3;
-  ingest.checkpoint_every_epochs = 2;
-  IngestStream stream("sdn2", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
-  for (const LogRecord& record : problem.log.records()) stream.append(record);
-  stream.seal();
-  ASSERT_GT(stream.stats().checkpoints, 0u);
-
-  // A fresh consumer decodes the bootstrap tier and restores from it. The
-  // contract is state reconstruction (the warm-session checkpoint tier's):
-  // checkpoint + segment suffix must land on the same base state as
-  // replaying the whole history.
-  std::ostringstream out;
-  stream.write_bootstrap(out);
-  std::istringstream in(out.str());
-  const StreamFile file = read_stream_file(in);
-  ASSERT_TRUE(file.checkpoint.has_value());
-  EventLog suffix;
-  for (const LogSegment& segment : file.segments) {
-    for (const LogRecord& record : segment.log().records()) {
-      suffix.append(record);
-    }
-  }
-  ASSERT_GT(suffix.records().back().time, file.checkpoint->captured_at());
-  const std::unique_ptr<Engine> booted = restore_from_checkpoint(
-      problem.program, problem.topology, *file.checkpoint, suffix);
-  ReplayResult batch =
-      replay(problem.program, problem.topology, problem.log, {}, {});
-  EXPECT_EQ(base_table_rows(*booted, problem.program),
-            base_table_rows(*batch.engine, problem.program));
-}
-
-TEST(IngestStream, WriteBootstrapRoundTripsThroughStreamFile) {
-  const service::Problem problem = scenario("sdn1");
-  obs::MetricsRegistry registry;
-  IngestOptions ingest;
-  ingest.epoch_events = 4;
-  ingest.checkpoint_every_epochs = 2;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      ingest, registry);
-  for (const LogRecord& record : problem.log.records()) stream.append(record);
-  stream.seal();
-
-  std::ostringstream out;
-  stream.write_bootstrap(out);
-  const std::string bytes = out.str();
-
-  std::istringstream in(bytes);
-  const StreamFile file = read_stream_file(in);
-  EXPECT_TRUE(file.tail_error.empty()) << file.tail_error;
-  EXPECT_EQ(file.dropped_bytes, 0u);
-  EXPECT_TRUE(file.checkpoint.has_value());
-  ASSERT_EQ(file.segments.size(), stream.segments().size());
-  std::size_t sealed_records = 0;
-  for (std::size_t i = 0; i < file.segments.size(); ++i) {
-    EXPECT_EQ(file.segments[i].log().records(),
-              stream.segments()[i]->log().records());
-    sealed_records += file.segments[i].size();
-  }
-  EXPECT_EQ(sealed_records + stream.stats().open_records, stream.log().size());
-
-  // A torn tail (any truncation) must fall back to the sealed prefix, never
-  // throw: the stream survives a crash mid-write.
-  for (std::size_t len = 0; len < bytes.size(); len += 7) {
-    std::istringstream torn(bytes.substr(0, len));
-    const StreamFile partial = read_stream_file(torn);
-    EXPECT_LE(partial.segments.size(), file.segments.size());
-    if (len < bytes.size()) {
-      EXPECT_TRUE(len == 0 || !partial.tail_error.empty() ||
-                  partial.segments.size() < file.segments.size() ||
-                  !partial.checkpoint.has_value() ||
-                  partial.segments.size() == file.segments.size());
-    }
-  }
-}
-
-// ------------------------------------------- segment wire hardening --
-
-Tuple random_tuple(Rng& rng) {
-  static const char* kTables[] = {"alpha", "beta", "gamma"};
-  std::vector<Value> values;
-  values.emplace_back("n" + std::to_string(rng.next_below(4)));  // location
-  const std::size_t arity = 1 + rng.next_below(3);
-  for (std::size_t i = 0; i < arity; ++i) {
-    switch (rng.next_below(3)) {
-      case 0:
-        values.emplace_back(static_cast<std::int64_t>(rng.next_u64() % 1000));
-        break;
-      case 1:
-        values.emplace_back("s" + std::to_string(rng.next_below(100)));
-        break;
-      default:
-        values.emplace_back(Ipv4(static_cast<std::uint32_t>(rng.next_u64())));
-        break;
-    }
-  }
-  return Tuple(kTables[rng.next_below(3)], std::move(values));
-}
-
-EventLog random_log(Rng& rng, std::size_t min_records = 1) {
-  EventLog log;
-  const std::size_t records = min_records + rng.next_below(20);
-  LogicalTime t = static_cast<LogicalTime>(rng.next_below(10));
-  for (std::size_t i = 0; i < records; ++i) {
-    t += static_cast<LogicalTime>(rng.next_below(5));
-    if (rng.next_below(4) == 0) {
-      log.append_delete(random_tuple(rng), t);
-    } else {
-      log.append_insert(random_tuple(rng), t);
-    }
-  }
-  return log;
-}
-
-TEST(LogSegment, RandomizedRoundTrip) {
-  Rng rng(0xd1f5);
-  for (int iter = 0; iter < 40; ++iter) {
-    const auto first = static_cast<std::uint32_t>(rng.next_below(100));
-    const auto span = static_cast<std::uint32_t>(rng.next_below(4));
-    const LogSegment segment(first, first + span, random_log(rng));
-
-    std::ostringstream out;
-    segment.serialize(out);
-    std::istringstream in(out.str());
-    const LogSegment back = LogSegment::deserialize(in);
-
-    EXPECT_EQ(back.first_epoch(), segment.first_epoch());
-    EXPECT_EQ(back.last_epoch(), segment.last_epoch());
-    EXPECT_EQ(back.first_time(), segment.first_time());
-    EXPECT_EQ(back.last_time(), segment.last_time());
-    EXPECT_EQ(back.log().records(), segment.log().records());
-    EXPECT_EQ(back.byte_size(), segment.byte_size());
-  }
-}
-
-TEST(LogSegment, MergeOfASplitLogSerializesByteEqualToTheUnsplitLog) {
-  Rng rng(0xbeef);
-  for (int iter = 0; iter < 25; ++iter) {
-    const EventLog full = random_log(rng, /*min_records=*/2);
-    const std::size_t split = 1 + rng.next_below(full.size() - 1);
-    EventLog a_log = prefix_log(full, split);
-    EventLog b_log;
-    for (std::size_t i = split; i < full.size(); ++i) {
-      b_log.append(full.records()[i]);
-    }
-    const LogSegment a(0, 0, std::move(a_log));
-    const LogSegment b(1, 1, std::move(b_log));
-    const LogSegment merged = LogSegment::merge(a, b);
-    EXPECT_EQ(merged.epochs(), 2u);
-
-    std::ostringstream merged_bytes, unsplit_bytes;
-    merged.serialize(merged_bytes);
-    LogSegment(0, 1, full).serialize(unsplit_bytes);
-    EXPECT_EQ(merged_bytes.str(), unsplit_bytes.str());
-  }
-
-  // Non-adjacent epoch ranges must be rejected, not silently glued.
-  Rng rng2(0x77);
-  const LogSegment a(0, 0, random_log(rng2));
-  const LogSegment gap(2, 2, random_log(rng2));
-  EXPECT_THROW(LogSegment::merge(a, gap), std::invalid_argument);
-}
-
-TEST(LogSegment, EveryTruncationOffsetFailsWithAByteOffset) {
-  Rng rng(0x5eed);
-  const LogSegment segment(3, 4, random_log(rng, /*min_records=*/3));
-  std::ostringstream out;
-  segment.serialize(out);
-  const std::string bytes = out.str();
-
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::istringstream in(bytes.substr(0, len));
-    try {
-      LogSegment::deserialize(in);
-      FAIL() << "truncation at " << len << " of " << bytes.size()
-             << " must not decode";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos)
-          << "offsetless error at len " << len << ": " << e.what();
-    }
-  }
-
-  // A flipped payload byte trips the checksum (pick one well inside the
-  // payload, past the fixed header).
-  std::string corrupt = bytes;
-  corrupt[bytes.size() - 12] ^= 0x40;
-  std::istringstream in(corrupt);
-  EXPECT_THROW(LogSegment::deserialize(in), std::runtime_error);
-}
-
-TEST(StreamFile, TornTailFallsBackToTheSealedPrefix) {
-  Rng rng(0xfee1);
-  const LogSegment first(0, 0, random_log(rng, 2));
-  const LogSegment second(1, 1, random_log(rng, 2));
-  std::ostringstream out;
-  first.serialize(out);
-  second.serialize(out);
-  const std::string bytes = out.str();
-  std::ostringstream first_only_out;
-  first.serialize(first_only_out);
-  const std::size_t first_len = first_only_out.str().size();
-
-  for (std::size_t len = 0; len <= bytes.size(); ++len) {
-    std::istringstream in(bytes.substr(0, len));
-    const StreamFile file = read_stream_file(in);  // must never throw
-    const std::size_t expect_sealed =
-        (len >= bytes.size()) ? 2 : (len >= first_len ? 1 : 0);
-    EXPECT_EQ(file.segments.size(), expect_sealed) << "at len " << len;
-    if (expect_sealed < 2 && len > first_len) {
-      EXPECT_FALSE(file.tail_error.empty()) << "at len " << len;
-      EXPECT_GT(file.dropped_bytes, 0u) << "at len " << len;
-    }
-    if (expect_sealed == 2) {
-      EXPECT_TRUE(file.tail_error.empty());
-    }
-  }
 }
 
 // ------------------------------------------------- service wiring --
@@ -583,7 +271,6 @@ TEST(IngestService, StreamQueriesAreByteIdenticalToTheCli) {
   obs::MetricsRegistry registry;
   service::ServiceConfig config;
   config.metrics = &registry;
-  config.ingest.epoch_events = 6;
   service::DiagnosisService service(config);
 
   const service::IngestOutcome opened = service.open_stream("live", "sdn1");
@@ -615,10 +302,9 @@ TEST(IngestService, StreamQueriesAreByteIdenticalToTheCli) {
   EXPECT_EQ(mid.result.err, cold_mid.err);
   EXPECT_EQ(mid.result.exit_code, cold_mid.exit_code);
 
-  fed = service.ingest("live", second_half, /*seal=*/true);
+  fed = service.ingest("live", second_half);
   ASSERT_TRUE(fed.ok) << fed.error;
   EXPECT_EQ(fed.stream.events, lines.size());
-  EXPECT_EQ(fed.stream.open_records, 0u) << "seal closes the open epoch";
 
   const service::QueryStatus full = wait_done(service, service.submit(query));
   EXPECT_EQ(full.result.out, expected.out);
@@ -739,6 +425,7 @@ TEST(IngestProtocol, NdjsonOpsRoundTrip) {
       R"({"op":"ingest_open","stream":"live","scenario":"sdn1"})");
   EXPECT_TRUE(opened.get_bool("ok")) << opened.get_string("error");
 
+  // An older client's "seal" field is ignored like any unknown field.
   const obs::Json fed = call(R"({"op":"ingest","stream":"live","events":)" +
                              obs::json_quote(problem.log.to_text()) +
                              R"(,"seal":true})");
@@ -749,7 +436,6 @@ TEST(IngestProtocol, NdjsonOpsRoundTrip) {
   ASSERT_NE(stream_stats, nullptr);
   EXPECT_EQ(stream_stats->get_number("events"),
             static_cast<double>(problem.log.size()));
-  EXPECT_GT(stream_stats->get_number("sealed_epochs"), 0);
 
   EXPECT_FALSE(call(R"({"op":"ingest_open"})").get_bool("ok"));
   EXPECT_FALSE(call(R"({"op":"ingest","stream":"ghost","events":""})")
@@ -777,8 +463,8 @@ TEST(IngestProtocol, NdjsonOpsRoundTrip) {
 }
 
 // ----------------------------------------------------- concurrency --
-// The TSan target: an appender, several diagnosis clients, and a
-// maintenance thread race on one live stream.
+// The TSan target: an appender, several diagnosis clients, and a stats
+// reader race on one live stream.
 
 TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
   const service::Problem problem = scenario("sdn1");
@@ -786,10 +472,6 @@ TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
   service::ServiceConfig config;
   config.metrics = &registry;
   config.workers = 2;
-  config.ingest.epoch_events = 4;
-  config.ingest.checkpoint_every_epochs = 2;
-  config.ingest.compact_watermark = 2;
-  config.ingest.retain_epochs = 1;
   service::DiagnosisService service(config);
   ASSERT_TRUE(service.open_stream("live", "sdn1").ok);
 
@@ -811,9 +493,10 @@ TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
     done.store(true);
   });
 
-  std::thread maintainer([&] {
+  // Locks each stream briefly and reads resident bytes cross-thread.
+  std::thread stats_reader([&] {
     while (!done.load()) {
-      service.ingest_streams().maintain(/*under_pressure=*/false);
+      (void)service.stats();
       std::this_thread::yield();
     }
   });
@@ -838,7 +521,7 @@ TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
   }
   appender.join();
   for (auto& client : clients) client.join();
-  maintainer.join();
+  stats_reader.join();
   EXPECT_GT(completed.load(), 0);
 
   // Quiesced: the full stream now answers exactly like the one-shot CLI.

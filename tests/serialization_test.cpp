@@ -1,5 +1,5 @@
 // Randomized round-trip property tests for the wire-facing serialization
-// layer (EventLog binary + text, Checkpoint), plus the hardening contract:
+// layer (EventLog binary + text), plus the hardening contract:
 // truncated or corrupt input is rejected with an error naming where decoding
 // stopped (byte offset for binary, line number for text) -- the diffprovd
 // daemon feeds these decoders bytes straight off the wire.
@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "ndlog/parser.h"
-#include "replay/checkpoint.h"
 #include "replay/event_log.h"
-#include "replay/replay_engine.h"
 #include "sdn/scenario.h"
 #include "util/rng.h"
 
@@ -144,21 +142,6 @@ TEST(SerializationProperty, ScenarioLogsSurviveBothFormats) {
               scenario.log.records())
         << scenario.name;
   }
-}
-
-TEST(SerializationProperty, CheckpointRoundTripsThroughBytes) {
-  sdn::Scenario scenario = sdn::all_scenarios()[0];
-  const ReplayResult run =
-      replay(scenario.program, scenario.topology, scenario.log);
-  const Checkpoint checkpoint = Checkpoint::capture(*run.engine);
-  ASSERT_FALSE(checkpoint.base_tuples().empty());
-
-  std::ostringstream out;
-  checkpoint.serialize(out);
-  std::istringstream in(out.str());
-  const Checkpoint back = Checkpoint::deserialize(in);
-  EXPECT_EQ(back.base_tuples(), checkpoint.base_tuples());
-  EXPECT_EQ(back.captured_at(), checkpoint.captured_at());
 }
 
 // ------------------------------------------- malformed-input rejection --
@@ -361,35 +344,6 @@ TEST(SerializationHardening, TextErrorsNameTheLine) {
     EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(SerializationHardening, CheckpointRejectsDeletesAndMixedTimes) {
-  // A checkpoint stream containing a delete is not a snapshot.
-  EventLog with_delete;
-  with_delete.append_insert(Tuple("t", {Value(1)}), 5);
-  with_delete.append_delete(Tuple("t", {Value(2)}), 5);
-  std::istringstream in1(serialized(with_delete));
-  try {
-    Checkpoint::deserialize(in1);
-    FAIL() << "delete record accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("record 1 is a delete"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos)
-        << e.what();
-  }
-
-  // Two capture times in one stream: also not a snapshot.
-  EventLog mixed_times;
-  mixed_times.append_insert(Tuple("t", {Value(1)}), 5);
-  mixed_times.append_insert(Tuple("t", {Value(2)}), 6);
-  std::istringstream in2(serialized(mixed_times));
-  EXPECT_THROW(Checkpoint::deserialize(in2), std::runtime_error);
-
-  // The empty checkpoint is fine (a system with no stored base state).
-  std::istringstream in3("");
-  EXPECT_TRUE(Checkpoint::deserialize(in3).base_tuples().empty());
 }
 
 }  // namespace
