@@ -193,7 +193,7 @@ std::string DiffProvResult::to_string() const {
 
 std::optional<ProvTree> locate_tree(const ProvenanceGraph& graph,
                                     const Tuple& event) {
-  const auto exist = graph.latest_exist_before(event, kTimeInfinity);
+  const auto exist = graph.first_exist(event);
   if (!exist) return std::nullopt;
   return ProvTree::project(graph, *exist);
 }
@@ -206,6 +206,7 @@ struct DiffProv::RoundState {
   std::vector<Value> seed_b;
   LogicalTime t_check = 0;
   LogicalTime t_apply = 0;
+  LogicalTime t_root = 0;  // the current bad tree's root
 
   const StateView* view = nullptr;
   const ProvenanceGraph* graph = nullptr;
@@ -230,12 +231,15 @@ namespace {
 
 /// Existence of `tuple` in the (current) bad execution: materialized tuples
 /// are checked "as of" the bad seed's time; event tuples are checked against
-/// the provenance graph (they never persist in tables).
+/// the provenance graph (they never persist in tables), counting only
+/// appearances up to the bad tree's root.
 bool exists_in_bad(const Program& program, const StateView& view,
                    const ProvenanceGraph& graph, const Tuple& tuple,
-                   LogicalTime t_check) {
+                   LogicalTime t_check, LogicalTime t_root) {
   const TableDecl& decl = program.table(tuple.table());
-  if (decl.is_event()) return !graph.exists_of(tuple).empty();
+  if (decl.is_event()) {
+    return graph.latest_exist_before(tuple, t_root).has_value();
+  }
   return view.existed_at(tuple, t_check);
 }
 
@@ -286,7 +290,7 @@ void DiffProv::add_change(RoundState& state, const Tuple& new_tuple,
   std::optional<Tuple> before;
   if (explicit_before &&
       exists_in_bad(*program_, *state.view, *state.graph, *explicit_before,
-                    state.t_check)) {
+                    state.t_check, state.t_root)) {
     before = std::move(explicit_before);
   } else {
     before = find_current_by_key(*program_, *state.view, new_tuple,
@@ -347,7 +351,7 @@ bool DiffProv::ensure_child(RoundState& state, ProvTree::NodeIndex good_child,
     return true;
   }
   if (exists_in_bad(*program_, *state.view, *state.graph, expected,
-                    state.t_check)) {
+                    state.t_check, state.t_root)) {
     return true;
   }
   const TableDecl& decl = program_->table(expected.table());
@@ -602,7 +606,8 @@ bool DiffProv::clear_argmax_blockers(RoundState& state, const Rule& rule,
                           "blocking tuple " + blocker.to_string() +
                               " has no recorded provenance");
       }
-      // BFS to the first mutable base INSERT.
+      // BFS to the first mutable base INSERT, through the supports the
+      // blocker had by t_check (later ones cannot be what blocks there).
       std::vector<VertexId> queue = {*exist};
       std::optional<Tuple> base_victim;
       for (std::size_t qi = 0; qi < queue.size() && !base_victim; ++qi) {
@@ -615,7 +620,11 @@ bool DiffProv::clear_argmax_blockers(RoundState& state, const Rule& rule,
           }
           continue;
         }
-        for (VertexId child : v.children) queue.push_back(child);
+        for (VertexId child : v.children) {
+          if (state.graph->time_of(child) <= state.t_check) {
+            queue.push_back(child);
+          }
+        }
       }
       if (!base_victim) {
         return state.fail(DiffProvStatus::kImmutableChange,
@@ -791,9 +800,10 @@ DiffProvResult DiffProv::diagnose(const ProvTree& good_tree,
   } else {
     obs::Span replay_span(obs::default_tracer(), "dp.diffprov.replay",
                           "diffprov");
-    bad_run = provider_->replay_bad({});
+    bad_run = provider_->replay_bad_to({}, {bad_event});
     result.timing.replay_us += elapsed_us(replay_start);
     ++result.timing.replays;
+    result.timing.replayed_events += bad_run.events_processed;
   }
 
   auto bad_tree_opt = locate_tree(*bad_run.graph, bad_event);
@@ -875,6 +885,7 @@ DiffProvResult DiffProv::diagnose(const ProvTree& good_tree,
     state.seed_b = bad_seed->tuple.values();
     state.t_check = bad_seed->time;
     state.t_apply = bad_seed->time - 1;
+    state.t_root = bad_tree.vertex_of(bad_tree.root()).time;
     state.view = bad_run.state.get();
     state.graph = bad_run.graph.get();
     state.delta = &delta;
@@ -1021,20 +1032,25 @@ DiffProvResult DiffProv::diagnose(const ProvTree& good_tree,
     result.rounds = round;
 
     // UpdateTree: clone-and-roll-forward by deterministic replay
-    // (section 4.6).
+    // (section 4.6), up to the tuple equivalent to the good root: the new
+    // bad tree is rooted there when it appears. If it never does, the
+    // replay runs in full for the seed walk below.
+    const auto expected_root = expected_with_repairs(
+        good_tree, annotations, good_tree.root(), state.seed_b, repairs);
+    std::vector<Tuple> horizon;
+    if (expected_root) horizon.push_back(*expected_root);
     replay_start = Clock::now();
     {
       obs::Span replay_span(obs::default_tracer(), "dp.diffprov.replay",
                             "diffprov");
-      bad_run = provider_->replay_bad(delta);
+      bad_run = provider_->replay_bad_to(delta, horizon);
     }
     result.timing.replay_us += elapsed_us(replay_start);
     ++result.timing.replays;
+    result.timing.replayed_events += bad_run.events_processed;
 
     // Re-root the bad tree: prefer the tuple equivalent to the good root;
     // otherwise follow the trigger chain up from the (preserved) seed.
-    const auto expected_root = expected_with_repairs(
-        good_tree, annotations, good_tree.root(), state.seed_b, repairs);
     std::optional<ProvTree> new_tree;
     if (expected_root) {
       new_tree = locate_tree(*bad_run.graph, *expected_root);
@@ -1091,10 +1107,10 @@ bool DiffProv::delta_aligns(const ProvTree& good_tree, const Delta& delta,
       TreeAnnotations::annotate(good_tree, *program_, *good_seed);
   const std::vector<Value>& seed_b = bad_seed.values();
 
-  const BadRun run = provider_->replay_bad(delta);
   const auto expected_root = expected_with_repairs(
       good_tree, annotations, good_tree.root(), seed_b, repairs);
   if (!expected_root) return false;
+  const BadRun run = provider_->replay_bad_to(delta, {*expected_root});
   const auto tree = locate_tree(*run.graph, *expected_root);
   if (!tree) return false;
   return trees_equivalent(good_tree, annotations, seed_b, repairs, *tree)

@@ -78,6 +78,9 @@ class EngineStateView final : public StateView {
 struct BadRun {
   std::shared_ptr<const ProvenanceGraph> graph;
   std::shared_ptr<const StateView> state;
+  /// Engine events this execution processed (0 when it was not replayed
+  /// through the NDlog engine here).
+  std::uint64_t events_processed = 0;
 };
 
 /// Abstracts "re-execute the bad run with these changes". The declarative
@@ -88,6 +91,16 @@ class ReplayProvider {
  public:
   virtual ~ReplayProvider() = default;
   virtual BadRun replay_bad(const Delta& delta) = 0;
+  /// replay_bad for a query that will locate only the tuples of `horizon`:
+  /// the execution may stop once each of them has appeared and every event
+  /// at that time has run (Engine::run), and runs in full when one never
+  /// appears. Every read DiffProv makes gives the same answer on such a run
+  /// as on a full one (DESIGN.md section 5). By default the run is full.
+  virtual BadRun replay_bad_to(const Delta& delta,
+                               const std::vector<Tuple>& horizon) {
+    (void)horizon;
+    return replay_bad(delta);
+  }
 };
 
 /// Replays a recorded NDlog execution (the common case).
@@ -101,8 +114,15 @@ class LogReplayProvider final : public ReplayProvider {
         options_(std::move(options)) {}
 
   BadRun replay_bad(const Delta& delta) override {
-    ReplayResult result = replay(*program_, topology_, log_, delta, options_);
+    return replay_bad_to(delta, {});
+  }
+
+  BadRun replay_bad_to(const Delta& delta,
+                       const std::vector<Tuple>& horizon) override {
+    ReplayResult result =
+        replay(*program_, topology_, log_, delta, options_, horizon);
     BadRun run;
+    run.events_processed = result.engine->stats().events_processed;
     std::shared_ptr<Engine> engine = std::move(result.engine);
     std::shared_ptr<ProvenanceRecorder> recorder = std::move(result.recorder);
     run.graph = std::shared_ptr<const ProvenanceGraph>(recorder,
@@ -152,6 +172,7 @@ struct DiffProvTiming {
   double make_appear_us = 0;  // includes constraint solving
   double replay_us = 0;       // UpdateTree replays (not reasoning)
   int replays = 0;
+  std::uint64_t replayed_events = 0;  // engine events of those replays
 
   [[nodiscard]] double reasoning_us() const {
     return find_seed_us + annotate_us + divergence_us + make_appear_us;
@@ -243,8 +264,10 @@ class DiffProv {
   DiffProvConfig config_;
 };
 
-/// Convenience: locate the provenance tree of `event` in `graph` (its latest
-/// EXIST) and project it. Returns nullopt if the event never existed.
+/// Locates the provenance tree of `event` in `graph` -- its first
+/// appearance, which a replay stopped at the query's horizon holds exactly
+/// as a full run does -- and projects it. Returns nullopt if the event never
+/// existed.
 std::optional<ProvTree> locate_tree(const ProvenanceGraph& graph,
                                     const Tuple& event);
 

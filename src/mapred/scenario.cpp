@@ -157,14 +157,16 @@ Diagnosis diagnose(const Scenario& scenario, const DiffProvConfig& config) {
         scenario.store, scenario.bad_config);
   }
 
-  const BadRun good_run = good_provider->replay_bad({});
+  // Each job runs until the event located in it has happened.
+  const BadRun good_run =
+      good_provider->replay_bad_to({}, {scenario.good_event});
   auto good_tree = locate_tree(*good_run.graph, scenario.good_event);
   if (!good_tree) {
     throw ProgramError(scenario.name + ": reference event " +
                        scenario.good_event.to_string() +
                        " not found in the good job");
   }
-  const BadRun bad_run = bad_provider->replay_bad({});
+  const BadRun bad_run = bad_provider->replay_bad_to({}, {scenario.bad_event});
   auto bad_tree = locate_tree(*bad_run.graph, scenario.bad_event);
   if (!bad_tree) {
     throw ProgramError(scenario.name + ": event of interest " +

@@ -1,5 +1,7 @@
 #include "mapred/wordcount.h"
 
+#include <algorithm>
+
 #include "util/hash.h"
 
 namespace dp::mapred {
@@ -66,6 +68,42 @@ int partition_of(const std::string& word, int num_reducers) {
                           static_cast<std::uint64_t>(num_reducers));
 }
 
+void JobFacts::add(TupleRef fact, LogicalTime at) {
+  const TupleStore& store = global_store();
+  Bucket& bucket = buckets_[{store.table_id(fact), store.value_ref(fact, 0)}];
+  bucket.facts.push_back({fact, at});
+  bucket.sorted = false;
+}
+
+void JobFacts::scan(const std::string& table, const NodeName& node,
+                    LogicalTime at,
+                    const std::function<void(const Tuple&)>& fn) const {
+  const TupleStore& store = global_store();
+  for (auto& [key, bucket] : buckets_) {
+    if (store.names().name(key.first) != table) continue;
+    const Value& location = store.values().value(key.second);
+    if (!location.is_string() || location.as_string() != node) continue;
+    if (!bucket.sorted) {
+      // Stable, so the first of a fact recorded twice is the one kept.
+      std::stable_sort(bucket.facts.begin(), bucket.facts.end(),
+                       [&store](const Fact& a, const Fact& b) {
+                         return store.less(a.ref, b.ref);
+                       });
+      bucket.facts.erase(
+          std::unique(bucket.facts.begin(), bucket.facts.end(),
+                      [](const Fact& a, const Fact& b) {
+                        return a.ref == b.ref;
+                      }),
+          bucket.facts.end());
+      bucket.sorted = true;
+    }
+    for (const Fact& fact : bucket.facts) {
+      if (fact.at <= at) fn(store.resolve(fact.ref));
+    }
+    return;
+  }
+}
+
 JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
                         const JobRunOptions& options) {
   JobOutput output;
@@ -76,8 +114,10 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
   // constant tuples and each input line feed many derivations, which must
   // not re-hash them.
   ProvenanceRecorder* const recorder = options.recorder;
-  const auto intern = [recorder](const Tuple& t) {
-    return recorder != nullptr ? intern_tuple(t) : kNoTupleRef;
+  JobFacts* const facts = options.facts;
+  const auto intern = [recorder, facts](const Tuple& t) {
+    return recorder != nullptr || facts != nullptr ? intern_tuple(t)
+                                                   : kNoTupleRef;
   };
   const auto rule_name = [recorder](const std::string& name) {
     return recorder != nullptr ? intern_name(name) : kNoName;
@@ -107,18 +147,19 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
     const Tuple placement = make("mapperAt", {"jt", m});
     const TupleRef placement_ref = report_base(placement, 2);
     log_metadata(placement, 2);
-    const Tuple reduces =
-        make("jobConf", {m, kReducesKey, config.num_reducers});
-    const Tuple code = make("mapperCode", {m, mapper.checksum, mapper.start});
+    const TupleRef reduces =
+        intern(make("jobConf", {m, kReducesKey, config.num_reducers}));
+    const TupleRef code =
+        intern(make("mapperCode", {m, mapper.checksum, mapper.start}));
     if (recorder != nullptr) {
-      recorder->report_derivation(intern(reduces), rule_name("jc"),
+      recorder->report_derivation(reduces, rule_name("jc"),
                                   {global_conf_ref, placement_ref}, 1, 10);
-      recorder->report_derivation(intern(code), rule_name("mc"),
+      recorder->report_derivation(code, rule_name("mc"),
                                   {global_code_ref, placement_ref}, 1, 10);
     }
-    if (options.facts != nullptr) {
-      options.facts->emplace(reduces, 10);
-      options.facts->emplace(code, 10);
+    if (facts != nullptr) {
+      facts->add(reduces, 10);
+      facts->add(code, 10);
     }
     std::vector<TupleRef> confdeps;
     for (int i = 0; i < config.model.conf_deps; ++i) {
@@ -142,13 +183,13 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
     log_metadata(file_id, 3);
 
     // jobSetup: the digest over all config entries the job reads.
-    const Tuple setup =
-        make("jobSetup", {m, setup_digest(config.model.conf_deps)});
+    const TupleRef setup =
+        intern(make("jobSetup", {m, setup_digest(config.model.conf_deps)}));
     if (recorder != nullptr) {
-      recorder->report_derivation(intern(setup), rule_name("js"), confdeps,
+      recorder->report_derivation(setup, rule_name("js"), confdeps,
                                   confdeps.size() - 1, 5);
     }
-    if (options.facts != nullptr) options.facts->emplace(setup, 5);
+    if (facts != nullptr) facts->add(setup, 5);
   }
 
   // --- map + shuffle ------------------------------------------------------
@@ -197,23 +238,20 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
 
         const int p = partition_of(word, config.num_reducers);
         const std::string reducer = "rd" + std::to_string(p);
-        const Tuple shuffled = word_at_tuple(reducer, word, file.name, l,
-                                             slot);
-        const TupleRef shuffled_ref = intern(shuffled);
+        const TupleRef shuffled_ref =
+            intern(word_at_tuple(reducer, word, file.name, l, slot));
         if (recorder != nullptr) {
           recorder->report_derivation(shuffled_ref, shuffle_rule,
                                       {emit, reduces, setup}, 0, et + 10);
         }
-        if (options.facts != nullptr) {
-          options.facts->emplace(shuffled, et + 10);
-        }
+        if (facts != nullptr) facts->add(shuffled_ref, et + 10);
 
         // The reducer's running count: each contribution chains the
         // previous aggregate into its provenance, displacing it -- exactly
         // what the declarative `agg count` rule c1 produces.
         const int new_count = ++output.counts[reducer][word];
-        const Tuple count_tuple =
-            make("wordCount", {reducer, word, new_count});
+        const TupleRef count_ref =
+            intern(make("wordCount", {reducer, word, new_count}));
         if (recorder != nullptr) {
           std::vector<TupleRef> chain = {shuffled_ref};
           if (new_count > 1) {
@@ -222,12 +260,10 @@ JobOutput run_wordcount(const CorpusStore& store, const JobConfig& config,
             recorder->on_base_delete(previous, et + 11);
             chain.push_back(previous);
           }
-          recorder->report_derivation(intern(count_tuple), count_rule, chain,
-                                      0, et + 11);
+          recorder->report_derivation(count_ref, count_rule, chain, 0,
+                                      et + 11);
         }
-        if (options.facts != nullptr) {
-          options.facts->emplace(count_tuple, et + 11);
-        }
+        if (facts != nullptr) facts->add(count_ref, et + 11);
       }
     }
   }
@@ -274,7 +310,7 @@ namespace {
 class JobStateView final : public StateView {
  public:
   JobStateView(const CorpusStore& store, JobConfig config,
-               std::shared_ptr<const std::map<Tuple, LogicalTime>> facts)
+               std::shared_ptr<const JobFacts> facts)
       : store_(&store),
         config_(std::move(config)),
         mapper_(mapper_info(config_.mapper_version)),
@@ -356,13 +392,8 @@ class JobStateView final : public StateView {
       }
       return;
     }
-    // Derived facts (jobSetup, wordAt).
-    for (const auto& [tuple, created] : *facts_) {
-      if (tuple.table() == table && tuple.location() == node &&
-          created <= at) {
-        fn(tuple);
-      }
-    }
+    // Derived facts (jobSetup, wordAt, wordCount).
+    facts_->scan(table, node, at, fn);
   }
 
  private:
@@ -378,7 +409,7 @@ class JobStateView final : public StateView {
   const CorpusStore* store_;
   JobConfig config_;
   MapperInfo mapper_;
-  std::shared_ptr<const std::map<Tuple, LogicalTime>> facts_;
+  std::shared_ptr<const JobFacts> facts_;
 };
 
 }  // namespace
@@ -402,7 +433,7 @@ BadRun WordCountReplayProvider::replay_bad(const Delta& delta) {
   last_config_ = config;
 
   auto recorder = std::make_shared<ProvenanceRecorder>();
-  auto facts = std::make_shared<std::map<Tuple, LogicalTime>>();
+  auto facts = std::make_shared<JobFacts>();
   JobRunOptions options;
   options.recorder = recorder.get();
   options.facts = facts.get();

@@ -38,6 +38,41 @@ struct JobOutput {
   std::size_t lines = 0;
 };
 
+/// The derived facts of an instrumented job run with their creation times,
+/// which the job's StateView reads. Kept by ref, one bucket per (table,
+/// node); a bucket is sorted into structural tuple order on its first scan.
+class JobFacts {
+ public:
+  /// Records the interned `fact`, created at `at`. A fact recorded twice
+  /// keeps its first time.
+  void add(TupleRef fact, LogicalTime at);
+
+  /// Calls `fn` on each fact of `table` on `node` created at or before
+  /// `at`, in structural tuple order.
+  void scan(const std::string& table, const NodeName& node, LogicalTime at,
+            const std::function<void(const Tuple&)>& fn) const;
+
+  /// Calls `fn(ref, created)` on every fact, bucket by bucket.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& [key, bucket] : buckets_) {
+      for (const Fact& fact : bucket.facts) fn(fact.ref, fact.at);
+    }
+  }
+
+ private:
+  struct Fact {
+    TupleRef ref = kNoTupleRef;
+    LogicalTime at = 0;
+  };
+  struct Bucket {
+    std::vector<Fact> facts;
+    bool sorted = false;
+  };
+  // Keyed by (table name, location value), both as store refs.
+  mutable std::map<std::pair<NameRef, ValueRef>, Bucket> buckets_;
+};
+
 struct JobRunOptions {
   /// Report-mode instrumentation target (may be null: uninstrumented run).
   ProvenanceRecorder* recorder = nullptr;
@@ -49,7 +84,7 @@ struct JobRunOptions {
   /// optimization that reduces it to ~0.2%.
   bool recompute_checksums = false;
   /// Filled with derived-fact creation times for the StateView (optional).
-  std::map<Tuple, LogicalTime>* facts = nullptr;
+  JobFacts* facts = nullptr;
 };
 
 /// Runs the imperative job. Deterministic.

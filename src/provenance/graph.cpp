@@ -279,6 +279,17 @@ std::optional<VertexId> ProvenanceGraph::latest_exist_before(
   return latest_exist_before(ref, at);
 }
 
+std::optional<VertexId> ProvenanceGraph::first_exist(
+    const Tuple& tuple) const {
+  LookupSample sample(counters_.lookups);
+  const TupleRef ref = global_store().find(tuple);
+  if (ref == kNoTupleRef) return std::nullopt;
+  VertexId first = kNoVertex;
+  for (VertexId v = latest_exist(ref); v != kNoVertex; v = prev_[v]) first = v;
+  if (first == kNoVertex) return std::nullopt;
+  return first;
+}
+
 std::vector<VertexId> ProvenanceGraph::exists_of(TupleRef tuple) const {
   std::vector<VertexId> out;
   oldest_first(latest_exist(tuple), prev_, out);

@@ -153,6 +153,9 @@ class ProvenanceGraph {
   [[nodiscard]] std::optional<VertexId> latest_exist_before(
       const Tuple& tuple, LogicalTime at) const;
 
+  /// EXIST vertex of `tuple`'s first appearance, if any.
+  [[nodiscard]] std::optional<VertexId> first_exist(const Tuple& tuple) const;
+
   /// All EXIST vertices of `tuple`, in insertion (time) order.
   [[nodiscard]] std::vector<VertexId> exists_of(TupleRef tuple) const;
   [[nodiscard]] std::vector<VertexId> exists_of(const Tuple& tuple) const;
@@ -191,7 +194,8 @@ class ProvenanceGraph {
   /// Growth and query counters, maintained as plain fields on the hot path.
   struct Counters {
     std::array<std::uint64_t, 7> by_kind{};  // indexed by VertexKind
-    std::uint64_t lookups = 0;  // exist_at + latest_exist_before calls
+    // exist_at + latest_exist_before + first_exist calls
+    std::uint64_t lookups = 0;
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 

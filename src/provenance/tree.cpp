@@ -6,6 +6,11 @@ namespace dp {
 
 ProvTree ProvTree::project(const ProvenanceGraph& graph, VertexId root) {
   ProvTree tree;
+  // Only vertices at or before the root belong to its tree. Every vertex a
+  // DERIVE reaches is, except the supports an APPEAR gains after the root
+  // (a head re-derived while alive); those are skipped, so a replay stopped
+  // at the root's time projects the same tree as a full one.
+  const LogicalTime root_time = graph.time_of(root);
   // Iterative DFS that assigns node indices in pre-order, keeping child
   // order identical to the graph's (causal) child order.
   struct Frame {
@@ -29,7 +34,8 @@ ProvTree ProvTree::project(const ProvenanceGraph& graph, VertexId root) {
     v.interval = graph.interval_of(frame.vertex);
     v.trigger_index = graph.trigger_of(frame.vertex);
     v.children.reserve(graph.child_count(frame.vertex));
-    graph.for_each_child(frame.vertex, [&graph, &v](VertexId child) {
+    graph.for_each_child(frame.vertex, [&](VertexId child) {
+      if (graph.time_of(child) > root_time) return;
       graph.prefetch_vertex(child);
       v.children.push_back(child);
     });

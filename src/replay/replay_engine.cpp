@@ -19,7 +19,8 @@ std::string delta_to_string(const Delta& delta) {
 
 ReplayResult replay(const Program& program, const Topology& topology,
                     const EventLog& log, const Delta& delta,
-                    const ReplayOptions& options) {
+                    const ReplayOptions& options,
+                    const std::vector<Tuple>& horizon) {
   DP_SPAN_CAT("dp.replay.replay", "replay");
   obs::default_registry().counter("dp.replay.replays").inc();
   ReplayResult result;
@@ -44,7 +45,7 @@ ReplayResult replay(const Program& program, const Topology& topology,
     }
   }
 
-  result.engine->run();
+  result.engine->run(horizon);
   // The recorder's graph publishes alongside the engine: into the shared
   // registry when the caller wired one up, else the process-wide one.
   obs::MetricsRegistry& registry = options.engine_config.metrics != nullptr

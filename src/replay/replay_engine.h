@@ -70,10 +70,13 @@ struct ReplayOptions {
 };
 
 /// Replays `log` (merged with `delta`) over a fresh engine and returns the
-/// engine plus the reconstructed provenance.
+/// engine plus the reconstructed provenance. `horizon` names the tuples the
+/// caller will locate: the run stops once each has appeared and the events
+/// at that time are drained (Engine::run), else it runs to quiescence.
 ReplayResult replay(const Program& program, const Topology& topology,
                     const EventLog& log, const Delta& delta = {},
-                    const ReplayOptions& options = {});
+                    const ReplayOptions& options = {},
+                    const std::vector<Tuple>& horizon = {});
 
 /// Restores a fresh engine from `checkpoint` plus the records of `log` after
 /// its capture time (earlier ones are inside the checkpoint), run to

@@ -97,9 +97,9 @@ void Engine::add_observer(RuntimeObserver* observer) {
 
 LogicalTime Engine::delivery_delay(const NodeName& from,
                                    const NodeName& to) const {
-  if (from == to) return config_.derive_delay;
+  if (from == to) return kDeriveDelay;
   auto it = links_.find({from, to});
-  return it == links_.end() ? config_.default_link_delay : it->second;
+  return it == links_.end() ? kDefaultLinkDelay : it->second;
 }
 
 Table& Engine::table_for(const Tuple& tuple) {
@@ -218,9 +218,20 @@ void Engine::schedule_delete(Tuple tuple, LogicalTime at) {
   push_external_event(std::move(event));
 }
 
-void Engine::run() {
+void Engine::run(const std::vector<Tuple>& horizon) {
   DP_SPAN_CAT("dp.runtime.run", "runtime");
-  while (!queue_.empty()) process(pop_event());
+  awaited_.clear();
+  for (const Tuple& tuple : horizon) {
+    awaited_.push_back({tuple, global_store().find(tuple)});
+  }
+  const bool bounded = !horizon.empty();
+  while (!queue_.empty()) {
+    // Every named tuple has appeared (by now_) and the events at now_ are
+    // drained: what follows is later than anything the query reads.
+    if (bounded && awaited_.empty() && queue_.front().time > now_) break;
+    process(pop_event());
+  }
+  awaited_.clear();
   publish_metrics();
 }
 
@@ -256,6 +267,13 @@ void Engine::process(const Event& event) {
       process_delete(event.tuple, event.time);
       break;
   }
+}
+
+void Engine::note_appearance(const Tuple& tuple, TupleRef ref) {
+  std::erase_if(awaited_, [&](const Awaited& awaited) {
+    return awaited.ref != kNoTupleRef ? awaited.ref == ref
+                                      : awaited.tuple == tuple;
+  });
 }
 
 void Engine::process_aggregate(const Event& event) {
@@ -302,6 +320,7 @@ void Engine::process_insert(const Event& event) {
   // log), the support maps and the bodies of the firings this tuple
   // triggers all share the ref.
   const TupleRef ref = intern_tuple(tuple);
+  if (!awaited_.empty()) note_appearance(tuple, ref);
 
   bool newly_appeared = true;
   if (!is_event) {

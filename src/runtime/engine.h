@@ -51,12 +51,13 @@
 
 namespace dp {
 
+/// Latency of a rule firing whose head stays on the same node.
+inline constexpr LogicalTime kDeriveDelay = 1;
+/// Latency of delivering a head tuple to a different node when no explicit
+/// link was configured.
+inline constexpr LogicalTime kDefaultLinkDelay = 10;
+
 struct EngineConfig {
-  /// Latency of a rule firing whose head stays on the same node.
-  LogicalTime derive_delay = 1;
-  /// Latency of delivering a head tuple to a different node when no explicit
-  /// link was configured.
-  LogicalTime default_link_delay = 10;
   /// If true, a constraint that throws EvalError aborts the run instead of
   /// being treated as a non-match.
   bool strict_eval = false;
@@ -88,7 +89,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Declares a bidirectional link with the given delay. Undeclared pairs
-  /// fall back to config.default_link_delay.
+  /// fall back to kDefaultLinkDelay.
   void add_link(const NodeName& a, const NodeName& b, LogicalTime delay);
 
   /// Observers see base inserts/deletes, derivations and underivations in
@@ -103,8 +104,13 @@ class Engine {
   /// Schedules an external base tuple deletion.
   void schedule_delete(Tuple tuple, LogicalTime at);
 
-  /// Processes events until the queue is empty (quiescence).
-  void run();
+  /// Processes events until the queue is empty (quiescence) or, when
+  /// `horizon` names tuples, until each of them has appeared and every event
+  /// at the time the last of them appeared has been processed. Events pop in
+  /// (time, seq) order, so nothing processed after that point can change the
+  /// state or the provenance at or before that time. A named tuple that
+  /// never appears leaves the run going to quiescence.
+  void run(const std::vector<Tuple>& horizon = {});
 
   /// Processes events with time <= `until`.
   void run_until(LogicalTime until);
@@ -235,6 +241,9 @@ class Engine {
   /// queue is non-empty.
   Event pop_event();
   void process(const Event& event);
+  /// Stops awaiting `tuple` (interned as `ref`) if the run's horizon names
+  /// it.
+  void note_appearance(const Tuple& tuple, TupleRef ref);
   /// Interns the new tuple -- the event's one store probe -- and inserts,
   /// notifies and fires with that ref.
   void process_insert(const Event& event);
@@ -313,6 +322,14 @@ class Engine {
   std::uint64_t next_external_seq_ = 0;  // external band (scheduled bases)
   LogicalTime now_ = 0;
   std::vector<RuntimeObserver*> observers_;
+  // The current run's horizon tuples that have not appeared yet, each with
+  // its ref (kNoTupleRef while it is not in the store, when it is matched by
+  // value instead).
+  struct Awaited {
+    Tuple tuple;
+    TupleRef ref = kNoTupleRef;
+  };
+  std::vector<Awaited> awaited_;
 
   std::vector<DerivRecord> records_;
   // Support bookkeeping keyed by interned refs: O(1) hashes of a 4-byte key

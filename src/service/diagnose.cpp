@@ -32,9 +32,18 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
     outcome.profile.warm_reuse = true;
     run = *warm_run;
   } else {
+    // The replay stops once both events have happened (ReplayProvider::
+    // replay_bad_to). It runs in full for an auto-selected reference, which
+    // ranks candidates over the whole run, and for a tree dump, which prints
+    // the EXIST interval ends a stopped run leaves open.
+    std::vector<Tuple> horizon;
+    if (spec.good_event && spec.show_tree.empty() && !spec.want_dot) {
+      horizon = {*spec.good_event, spec.bad_event};
+    }
     const auto replay_start = std::chrono::steady_clock::now();
-    run = provider.replay_bad({});
+    run = provider.replay_bad_to({}, horizon);
     outcome.profile.initial_replay_us = micros_since(replay_start);
+    outcome.profile.replayed_events = run.events_processed;
   }
 
   const auto locate_start = std::chrono::steady_clock::now();
@@ -94,6 +103,7 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
     }
   }
 
+  outcome.profile.replayed_events += outcome.profile.timing.replayed_events;
   outcome.profile.rounds = result.rounds;
   outcome.profile.good_tree_size = result.good_tree_size;
   outcome.profile.bad_tree_size = result.bad_tree_size;

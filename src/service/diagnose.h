@@ -40,6 +40,10 @@ struct DiagnoseProfile {
   double locate_us = 0;          // projecting the good/bad trees
   DiffProvTiming timing;         // reasoning + UpdateTree replay decomposition
   double minimize_us = 0;        // optional Δ-minimization post-pass
+  /// Engine events of this diagnosis's replays: the cold initial replay
+  /// plus every UpdateTree replay (a warm session's resident run is not
+  /// replayed here and does not count).
+  std::uint64_t replayed_events = 0;
   int rounds = 0;
   std::size_t good_tree_size = 0;
   std::size_t bad_tree_size = 0;

@@ -86,6 +86,7 @@ std::string render_profile_json(const DiagnoseProfile& profile,
       << ",\"other_us\":" << other << "}"
       << ",\"rounds\":" << profile.rounds
       << ",\"replays\":" << profile.timing.replays
+      << ",\"replayed_events\":" << profile.replayed_events
       << ",\"good_tree_size\":" << profile.good_tree_size
       << ",\"bad_tree_size\":" << profile.bad_tree_size
       << ",\"vertices_delta\":" << vertices_delta

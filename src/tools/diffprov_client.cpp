@@ -85,7 +85,9 @@ void print_explain(const Json& response, std::ostream& out) {
       << (response.get_bool("cache_hit") ? ", cache hit" : "") << ", "
       << static_cast<long long>(profile->get_number("rounds")) << " round(s), "
       << static_cast<long long>(profile->get_number("replays"))
-      << " replay(s))\n";
+      << " replay(s), "
+      << static_cast<long long>(profile->get_number("replayed_events"))
+      << " replayed engine event(s))\n";
   const Json* phases = profile->find("phases");
   if (phases != nullptr && phases->kind == Json::Kind::kObject) {
     for (const char* phase :

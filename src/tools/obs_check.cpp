@@ -6,11 +6,13 @@
 // _count, latency sums non-negative), and the expected spans / series are
 // present.
 //
-//   obs_check --trace trace.json --require dp.diffprov.diagnose \
-//             --require-prefix rule:
+//   obs_check --trace trace.json --require dp.diffprov.diagnose
+//       --require-prefix rule:
 //   obs_check --metrics metrics.json --require dp.runtime.derivations
-//   curl -s localhost:PORT/metrics | obs_check --prom /dev/stdin \
-//             --require dp_service_submitted
+//   curl -s localhost:PORT/metrics |
+//       obs_check --prom /dev/stdin --require dp_service_submitted
+//
+// (an indented line continues the command above it)
 //
 // Exit code 0 on success; 1 with a message on stderr otherwise.
 #include <fstream>

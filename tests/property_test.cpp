@@ -60,7 +60,9 @@ TEST_P(ValueProperties, OrderingIsATotalOrder) {
     const int relations = int(a < b) + int(b < a) + int(a == b);
     EXPECT_EQ(relations, 1) << a.to_string() << " vs " << b.to_string();
     EXPECT_FALSE(a < a);
-    if (a == b) EXPECT_EQ(a.hash(), b.hash());
+    if (a == b) {
+      EXPECT_EQ(a.hash(), b.hash());
+    }
   }
 }
 
@@ -176,7 +178,9 @@ TEST_P(TableProperties, IntervalsAreOrderedDisjointAndKeyUnique) {
   for (const Tuple& t : universe) {
     for (const TimeInterval& iv : table.history(t)) {
       EXPECT_TRUE(table.existed_at(t, iv.start));
-      if (!iv.open_ended()) EXPECT_FALSE(table.existed_at(t, iv.end));
+      if (!iv.open_ended()) {
+        EXPECT_FALSE(table.existed_at(t, iv.end));
+      }
     }
   }
 }

@@ -164,6 +164,10 @@ TEST(Trace, DeterministicAndRateAccurate) {
   const TraceStats sb = generate_trace(config, b);
   EXPECT_EQ(sa.packets, 200u);
   EXPECT_DOUBLE_EQ(sa.packets_per_second, 2000.0);
+  EXPECT_EQ(sb.packets, sa.packets);
+  EXPECT_EQ(sb.simulated_seconds, sa.simulated_seconds);
+  EXPECT_EQ(sb.wire_bytes, sa.wire_bytes);
+  EXPECT_EQ(sb.packets_per_second, sa.packets_per_second);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.records()[17], b.records()[17]);  // bitwise determinism
 }

@@ -79,10 +79,10 @@ TEST(BoundedQueue, CloseAndClearReturnsOrphans) {
 
 TEST(ResultCache, LruEvictionKeepsRecentlyUsed) {
   ResultCache cache(2);
-  cache.put("a", {0, "A", ""});
-  cache.put("b", {0, "B", ""});
+  cache.put("a", {0, "A", "", ""});
+  cache.put("b", {0, "B", "", ""});
   EXPECT_TRUE(cache.get("a"));  // refresh a; b is now LRU
-  cache.put("c", {0, "C", ""});
+  cache.put("c", {0, "C", "", ""});
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_FALSE(cache.get("b"));
   EXPECT_TRUE(cache.get("a"));
@@ -911,7 +911,7 @@ TEST(ShardedService, AnswersAreByteIdenticalAcrossShards) {
   DiagnosisService service(config);
   ASSERT_EQ(service.shard_count(), 4u);
 
-  for (const std::string& scenario : {"sdn1", "sdn2", "sdn3", "sdn4"}) {
+  for (const char* scenario : {"sdn1", "sdn2", "sdn3", "sdn4"}) {
     const CliAnswer expected = run_cli({"--scenario", scenario});
     Query query;
     query.scenario = scenario;
