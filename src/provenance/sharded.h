@@ -52,9 +52,9 @@ class ShardedProvenance final : public RuntimeObserver {
   };
   [[nodiscard]] const QueryStats& last_query_stats() const { return stats_; }
 
-  /// Projects the provenance tree of `event` across shards, materializing
-  /// remote subtrees on demand. Returns nullopt if the event was never
-  /// recorded.
+  /// Projects the provenance tree of `event`'s first appearance across
+  /// shards (as locate_tree does), materializing remote subtrees on demand.
+  /// Returns nullopt if the event was never recorded.
   [[nodiscard]] std::optional<ProvTree> project(const Tuple& event);
 
  private:
