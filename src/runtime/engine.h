@@ -226,9 +226,9 @@ class Engine {
   // seqs). What the bands add is *incremental* feeding: a base event
   // scheduled mid-run -- after some derivations were already queued -- still
   // sorts before every equal-time derived event, exactly where batch
-  // scheduling would have put it. The live-ingest tier (src/ingest) depends
-  // on this to keep its always-current engine byte-identical to a full
-  // replay of the same event prefix.
+  // scheduling would have put it. A live stream (service/session.h) depends
+  // on this to keep its fed engine byte-identical to a full replay of the
+  // same event prefix.
   static constexpr std::uint64_t kInternalSeqBand = 1ull << 48;
 
   /// Enqueues an engine-generated event (internal seq band).

@@ -2,13 +2,11 @@
 
 #include <cctype>
 #include <ostream>
-#include <sstream>
 
 #include "dns/dns.h"
 #include "mapred/scenario.h"
 #include "ndlog/parser.h"
 #include "sdn/scenario.h"
-#include "util/hash.h"
 
 namespace dp::service {
 
@@ -66,12 +64,6 @@ Problem parse_problem(const std::string& program_text,
   problem.log = EventLog::from_text(log_text);
   problem.topology = std::move(topology);
   return problem;
-}
-
-std::uint64_t log_content_hash(const EventLog& log) {
-  std::ostringstream bytes;
-  log.serialize(bytes);
-  return fnv1a(bytes.str());
 }
 
 }  // namespace dp::service

@@ -4,8 +4,8 @@
 //
 // Both front-ends assemble problems through this module so they agree on the
 // built-in scenario catalogue: the one-shot CLI (src/tools/cli.cpp) and the
-// diffprovd service (src/service/service.h), which keys warm sessions and
-// cache entries off a problem's content hash.
+// diffprovd service (src/service/service.h), which keeps one warm session
+// per problem.
 #pragma once
 
 #include <iosfwd>
@@ -38,10 +38,5 @@ void list_scenarios(std::ostream& out);
 /// wire.
 Problem parse_problem(const std::string& program_text,
                       const std::string& log_text, Topology topology = {});
-
-/// Content hash of a problem's recorded log (FNV-1a over the binary
-/// serialization). Cache keys use this so two sessions over byte-identical
-/// logs share results, whatever name they arrived under.
-std::uint64_t log_content_hash(const EventLog& log);
 
 }  // namespace dp::service

@@ -144,11 +144,12 @@ std::string handle_probe(DiagnosisService& service, const Json& request) {
          "}";
 }
 
-std::string render_stream_stats(const ingest::IngestStreamStats& s) {
+/// A stream's "snapshots" are its queries: each drains the warm engine.
+std::string render_stream_stats(const SessionStats& s) {
   std::ostringstream out;
   out << "{\"events\":" << s.events
       << ",\"live_rebuilds\":" << s.live_rebuilds
-      << ",\"snapshots\":" << s.snapshots
+      << ",\"snapshots\":" << s.queries
       << ",\"resident_bytes\":" << s.resident_bytes
       << ",\"watermark\":" << s.watermark << "}";
   return out.str();

@@ -131,7 +131,7 @@ std::string ServiceStats::to_text() const {
   }
   for (const auto& [name, s] : per_stream) {
     out << "  stream " << name << ": events " << s.events << " snapshots "
-        << s.snapshots << " rebuilds " << s.live_rebuilds << "\n";
+        << s.queries << " rebuilds " << s.live_rebuilds << "\n";
   }
   return out.str();
 }
@@ -159,8 +159,7 @@ DiagnosisService::DiagnosisService(ServiceConfig config)
       ledger_(std::make_shared<WarmBudgetLedger>(
           config_.warm_bytes_budget,
           std::min<std::size_t>(std::max<std::size_t>(config_.shards, 1),
-                                kMaxShards),
-          /*extra_slots=*/1)),  // the live-ingest tier's slot
+                                kMaxShards))),
       cache_(config_.cache_capacity, config_.cache_stripes, registry_),
       submitted_(registry_->counter("dp.service.submitted")),
       completed_(registry_->counter("dp.service.completed")),
@@ -199,13 +198,6 @@ DiagnosisService::DiagnosisService(ServiceConfig config)
       shard.workers.emplace_back([this, &shard, i] { worker_loop(shard, i); });
     }
   }
-  // Ingest streams bill their resident bytes into the ledger's extra slot,
-  // so warm sessions and live graphs spend one shared budget.
-  ingest_ = std::make_unique<ingest::IngestManager>(
-      replay_options_, *registry_,
-      [ledger = ledger_, slot = nshards](std::uint64_t bytes) {
-        ledger->publish(slot, bytes);
-      });
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
@@ -242,20 +234,13 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
   // Route before resolving: the session key alone picks the shard, so every
   // structure touched from here on is shard-local (or a cache stripe).
   std::string session_key;
-  std::shared_ptr<ingest::IngestStream> stream;
   if (!query.stream.empty()) {
     if (!query.scenario.empty() || !query.program_text.empty()) {
       outcome.error =
           "query names both a live stream and a scenario/inline problem";
       return outcome;
     }
-    stream = ingest_->find(query.stream);
-    if (stream == nullptr) {
-      outcome.error = "unknown ingest stream \"" + query.stream +
-                      "\" (ingest_open first)";
-      return outcome;
-    }
-    session_key = "ingest:" + query.stream;
+    session_key = stream_session_key(query.stream);
   } else if (!query.scenario.empty()) {
     session_key = query.scenario;
   } else if (!query.program_text.empty()) {
@@ -267,28 +252,30 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
   Shard& shard = *shards_[shard_of_key(session_key)];
 
   std::shared_ptr<WarmSession> session;
-  const std::optional<Tuple>* default_good = nullptr;
-  const std::optional<Tuple>* default_bad = nullptr;
-  if (stream != nullptr) {
-    default_good = &stream->good_event();
-    default_bad = &stream->bad_event();
+  if (!query.stream.empty()) {
+    session = shard.sessions.find_stream(query.stream);
+    if (session == nullptr) {
+      outcome.error = "unknown ingest stream \"" + query.stream +
+                      "\" (ingest_open first)";
+      return outcome;
+    }
+  } else if (!query.scenario.empty()) {
+    session = shard.sessions.get_scenario(query.scenario, outcome.error);
   } else {
-    session = query.scenario.empty()
-                  ? shard.sessions.get_inline(query.program_text,
-                                              query.log_text, outcome.error)
-                  : shard.sessions.get_scenario(query.scenario, outcome.error);
-    if (session == nullptr) return outcome;
-    default_good = &session->problem().good_event;
-    default_bad = &session->problem().bad_event;
+    session = shard.sessions.get_inline(query.program_text, query.log_text,
+                                        outcome.error);
   }
+  if (session == nullptr) return outcome;
+  // The default events are fixed at open; only the log grows.
+  const Problem& problem = session->problem();
 
   DiagnoseSpec spec;
   spec.minimize = query.minimize;
   try {
     if (!query.bad.empty()) {
       spec.bad_event = parse_tuple(query.bad);
-    } else if (*default_bad) {
-      spec.bad_event = **default_bad;
+    } else if (problem.bad_event) {
+      spec.bad_event = *problem.bad_event;
     } else {
       outcome.error = "no event of interest: pass bad=<tuple>";
       return outcome;
@@ -297,8 +284,8 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
       spec.good_event.reset();
     } else if (!query.good.empty()) {
       spec.good_event = parse_tuple(query.good);
-    } else if (*default_good) {
-      spec.good_event = **default_good;
+    } else if (problem.good_event) {
+      spec.good_event = *problem.good_event;
     } else {
       outcome.error =
           "no reference event: pass good=<tuple> or auto_reference";
@@ -309,16 +296,15 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
     return outcome;
   }
 
-  // Stream queries key the cache on the stream's *running* content hash:
-  // every append advances it, so an entry for an older prefix is simply
-  // unreachable, never served stale. (A result may cover a slightly longer
-  // prefix than the hash it was keyed under -- appends that landed between
-  // submit and snapshot -- which is the freshest answer, not a stale one.)
-  const std::uint64_t content_hash =
-      stream != nullptr ? hash_mix(fnv1a(session_key), stream->content_hash())
-                        : session->log_hash();
+  // The cache key names the session (for an inline problem, its program
+  // text too) and the log's *running* content hash: every append advances
+  // it, so an entry for an older prefix is simply unreachable, never served
+  // stale. (A result may cover a slightly longer prefix than the hash it
+  // was keyed under -- appends that landed between submit and the query's
+  // drain -- which is the freshest answer, not a stale one.)
   const std::string key = make_cache_key(
-      content_hash, spec.bad_event.to_string(),
+      hash_mix(fnv1a(session_key), session->content_hash()),
+      spec.bad_event.to_string(),
       spec.good_event ? spec.good_event->to_string() : "<auto>",
       spec.minimize, config_.config_epoch);
   const bool cacheable = !query.bypass_cache;
@@ -353,7 +339,6 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
           job->key = key;
           job->shard = shard.index;
           job->session = session;
-          job->stream = stream;
           job->spec = spec;
           job->cacheable = true;
           job->trace_id = query.trace_id;
@@ -422,7 +407,6 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
   job->key = key;
   job->shard = shard.index;
   job->session = std::move(session);
-  job->stream = std::move(stream);
   job->spec = std::move(spec);
   job->cacheable = false;
   job->trace_id = query.trace_id;
@@ -564,42 +548,23 @@ void DiagnosisService::run_job(Shard& shard,
   bool warm_hit = false;
   try {
     DP_SPAN_CAT("dp.service.run", "service");
-    // Per-session (or per-stream) serialization: one query at a time against
-    // a resident engine; jobs for other sessions/streams proceed on other
-    // workers in parallel.
+    // Per-session serialization: one query (or append) at a time against a
+    // resident engine; jobs for other sessions proceed on other workers in
+    // parallel.
+    WarmSession& session = *job->session;
     const auto wait_start = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> session_lock(job->stream != nullptr
-                                                 ? job->stream->mutex()
-                                                 : job->session->mutex());
-    session_wait_us = micros_between(wait_start, std::chrono::steady_clock::now());
-    DiagnoseOutcome outcome;
-    if (job->stream != nullptr) {
-      // Live path: snapshot the stream's always-current graph -- quiescing
-      // the in-flight tail of the resident engine, not replaying history.
-      // warm_hit reports whether the snapshot avoided a stale-live rebuild.
-      const auto snap_start = std::chrono::steady_clock::now();
-      bool rebuilt = false;
-      std::shared_ptr<const BadRun> run = job->stream->ensure_current(&rebuilt);
-      ingest_snapshot_us =
-          micros_between(snap_start, std::chrono::steady_clock::now());
-      warm_hit = !rebuilt;
-      Problem problem;
-      problem.program = job->stream->program();
-      problem.topology = job->stream->topology();
-      problem.log = job->stream->log();
-      problem.good_event = job->stream->good_event();
-      problem.bad_event = job->stream->bad_event();
-      outcome =
-          diagnose_problem(problem, job->spec, replay_options_, std::move(run));
-    } else {
-      warm_hit = job->session->is_warm();
-      const auto warm_start = std::chrono::steady_clock::now();
-      std::shared_ptr<const BadRun> warm = job->session->ensure_warm();
-      warm_replay_us =
-          micros_between(warm_start, std::chrono::steady_clock::now());
-      outcome = diagnose_problem(job->session->problem(), job->spec,
-                                 replay_options_, std::move(warm));
-    }
+    std::lock_guard<std::mutex> session_lock(session.mutex());
+    const auto warm_start = std::chrono::steady_clock::now();
+    session_wait_us = micros_between(wait_start, warm_start);
+    // A cold session replays its log; a warm one drains what was appended
+    // since its last query (nothing, for a session that takes no appends).
+    bool replayed = false;
+    std::shared_ptr<const BadRun> run = session.ensure_warm(&replayed);
+    (replayed ? warm_replay_us : ingest_snapshot_us) =
+        micros_between(warm_start, std::chrono::steady_clock::now());
+    warm_hit = !replayed;
+    const DiagnoseOutcome outcome = diagnose_problem(
+        session.problem(), job->spec, replay_options_, std::move(run));
     result.exit_code = outcome.exit_code;
     result.out = outcome.pre + outcome.out;
     result.err = outcome.err;
@@ -617,12 +582,9 @@ void DiagnosisService::run_job(Shard& shard,
     result.out.clear();
     result.err = std::string("internal error: ") + e.what() + "\n";
   }
-  // The warm-up (or snapshot) above may have changed the measured
-  // footprints; publish ingest bytes first so the session budget pass sees
-  // the shared ledger's true total, then re-apply the byte budget now that
-  // the session/stream lock is released (the budget pass try-locks sessions,
-  // so it must not run while we hold one).
-  if (job->stream != nullptr) ingest_->publish();
+  // The warm-up (or drain) above may have changed the measured footprint:
+  // re-apply the byte budget now that the session lock is released (the
+  // budget pass try-locks sessions, so it must not run while we hold one).
   shard.sessions.enforce_budget();
   runs_.inc();
   const auto finished_at = std::chrono::steady_clock::now();
@@ -829,7 +791,9 @@ IngestOutcome DiagnosisService::open_stream(const std::string& name,
     out.error = "service is shutting down";
     return out;
   }
-  if (std::shared_ptr<ingest::IngestStream> existing = ingest_->find(name)) {
+  SessionManager& sessions =
+      shards_[shard_of_key(stream_session_key(name))]->sessions;
+  if (std::shared_ptr<WarmSession> existing = sessions.find_stream(name)) {
     std::lock_guard<std::mutex> lock(existing->mutex());
     out.ok = true;
     out.stream = existing->stats();
@@ -855,11 +819,10 @@ IngestOutcome DiagnosisService::open_stream(const std::string& name,
     out.error = "open_stream needs a scenario or an inline program";
     return out;
   }
-  // The scenario's recorded log is deliberately dropped: a live stream's
-  // history arrives only through ingest(), event by event.
-  std::shared_ptr<ingest::IngestStream> stream = ingest_->open(
-      name, std::move(problem.program), std::move(problem.topology),
-      std::move(problem.good_event), std::move(problem.bad_event));
+  // The scenario's recorded log is dropped at open: a live stream's history
+  // arrives only through ingest(), event by event.
+  std::shared_ptr<WarmSession> stream =
+      sessions.open_stream(name, std::move(problem));
   std::lock_guard<std::mutex> lock(stream->mutex());
   out.ok = true;
   out.stream = stream->stats();
@@ -869,7 +832,9 @@ IngestOutcome DiagnosisService::open_stream(const std::string& name,
 IngestOutcome DiagnosisService::ingest(const std::string& name,
                                        const std::string& events_text, bool) {
   IngestOutcome out;
-  std::shared_ptr<ingest::IngestStream> stream = ingest_->find(name);
+  SessionManager& sessions =
+      shards_[shard_of_key(stream_session_key(name))]->sessions;
+  std::shared_ptr<WarmSession> stream = sessions.find_stream(name);
   if (stream == nullptr) {
     out.error =
         "unknown ingest stream \"" + name + "\" (ingest_open first)";
@@ -884,7 +849,9 @@ IngestOutcome DiagnosisService::ingest(const std::string& name,
     return out;
   }
   out.ok = true;
-  ingest_->publish();
+  // The batch grew the stream's footprint (or cooled it): re-apply the
+  // budget now that the session lock is released.
+  sessions.enforce_budget();
   return out;
 }
 
@@ -907,20 +874,22 @@ ServiceStats DiagnosisService::stats() const {
     const std::size_t depth = shard->queue.size();
     stats.shard_queue_depths.push_back(depth);
     stats.queue_depth += depth;
-    stats.sessions += shard->sessions.size();
-    stats.warm_sessions += shard->sessions.warm_count();
-    stats.warm_resident_bytes += shard->sessions.warm_bytes();
-    auto per_session = shard->sessions.stats();
-    stats.per_session.insert(stats.per_session.end(),
-                             std::make_move_iterator(per_session.begin()),
-                             std::make_move_iterator(per_session.end()));
+    for (auto& [key, s] : shard->sessions.stats()) {
+      if (key.starts_with(kStreamKeyPrefix)) {
+        stats.ingest_events += s.events;
+        stats.ingest_resident_bytes += s.resident_bytes;
+        stats.per_stream.emplace_back(key.substr(kStreamKeyPrefix.size()), s);
+      } else {
+        ++stats.sessions;
+        if (s.resident_bytes > 0) ++stats.warm_sessions;
+        stats.warm_resident_bytes += s.resident_bytes;
+        stats.per_session.emplace_back(std::move(key), s);
+      }
+    }
   }
-  stats.per_stream = ingest_->stats();
+  std::sort(stats.per_stream.begin(), stats.per_stream.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   stats.ingest_streams = stats.per_stream.size();
-  for (const auto& [name, s] : stats.per_stream) {
-    stats.ingest_events += s.events;
-    stats.ingest_resident_bytes += s.resident_bytes;
-  }
   return stats;
 }
 

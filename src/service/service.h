@@ -15,10 +15,13 @@
 //
 //   * Warm sessions (session.h): jobs against the same scenario/log reuse
 //     the resident replayed run; different scenarios diagnose in parallel,
-//     queries against one warm engine serialize on its session mutex. The
-//     warm-set byte budget is global but *rebalanced* across shards through
-//     a shared ledger: a hot shard borrows budget idle shards leave unused
-//     and cools only once the global total is exceeded (WarmBudgetLedger).
+//     queries against one warm engine serialize on its session mutex. A
+//     live stream (open_stream/ingest) is a session whose log grows: appends
+//     feed its resident engine, and a query drains what arrived since the
+//     last one. The warm-set byte budget is global but *rebalanced* across
+//     shards through a shared ledger: a hot shard borrows budget idle shards
+//     leave unused and cools only once the global total is exceeded
+//     (WarmBudgetLedger).
 //   * Result cache + single-flight (cache.h): striped -- per-stripe mutex,
 //     per-stripe LRU slice, per-stripe in-flight table. A repeat of a
 //     finished query is answered from the cache without touching a worker;
@@ -54,7 +57,6 @@
 #include <utility>
 #include <vector>
 
-#include "ingest/manager.h"
 #include "obs/metrics.h"
 #include "service/bounded_queue.h"
 #include "service/cache.h"
@@ -129,9 +131,9 @@ struct Query {
   std::string program_text;
   std::string log_text;
   /// Diagnose against a live ingest stream (open_stream/ingest) instead of a
-  /// recorded scenario or inline log: the job snapshots the stream's
-  /// always-current graph -- no replay on the hot path. Mutually exclusive
-  /// with `scenario`/`program_text`.
+  /// recorded scenario or inline log: the job drains the stream's warm
+  /// engine -- no replay on the hot path. Mutually exclusive with
+  /// `scenario`/`program_text`.
   std::string stream;
   /// Event of interest, tuple text; empty = the scenario's default.
   std::string bad;
@@ -182,7 +184,7 @@ struct IngestOutcome {
   std::string error;
   /// Records this call appended (0 for open_stream).
   std::size_t accepted = 0;
-  ingest::IngestStreamStats stream;
+  SessionStats stream;
 };
 
 struct ServiceStats {
@@ -204,11 +206,12 @@ struct ServiceStats {
   std::size_t shards = 1;
   std::vector<std::size_t> shard_queue_depths;  // one entry per shard
   std::vector<std::pair<std::string, SessionStats>> per_session;
-  // Live-ingest tier, summed across streams (per_stream has the breakdown).
+  // Live streams, keyed by stream name and summed here; the session counts
+  // above cover scenario and inline sessions only.
   std::size_t ingest_streams = 0;
   std::uint64_t ingest_events = 0;
   std::uint64_t ingest_resident_bytes = 0;
-  std::vector<std::pair<std::string, ingest::IngestStreamStats>> per_stream;
+  std::vector<std::pair<std::string, SessionStats>> per_stream;
 
   [[nodiscard]] std::string to_text() const;
 };
@@ -244,27 +247,25 @@ class DiagnosisService {
                                     const std::string& tuple_text, bool& live,
                                     std::uint64_t trace_id = 0);
 
-  /// Opens (or idempotently returns) a live ingest stream. `scenario` seeds
-  /// the stream with a built-in problem's program/topology and diagnosis
-  /// defaults -- with the recorded log deliberately stripped: a live
-  /// stream's history arrives only through ingest(). Alternatively,
-  /// `program_text` opens a stream over an inline NDlog program.
+  /// Opens (or idempotently returns) a live ingest stream: a warm session on
+  /// the shard of "ingest:<name>". `scenario` seeds the stream with a
+  /// built-in problem's program/topology and diagnosis defaults -- with the
+  /// recorded log deliberately stripped: a live stream's history arrives
+  /// only through ingest(). Alternatively, `program_text` opens a stream
+  /// over an inline NDlog program.
   IngestOutcome open_stream(const std::string& name,
                             const std::string& scenario,
                             const std::string& program_text = "");
 
   /// Appends one batch of events (EventLog text form) to a live stream and
-  /// feeds them straight into its resident engine. The whole batch is
-  /// validated before any record applies, so a malformed or out-of-order
-  /// batch never half-applies. The unnamed bool is ignored. It is kept only
-  /// because perfbench/serve.cpp passes one, and the benchmark's sources
-  /// change only together with the benchmark itself.
+  /// feeds them straight into its resident engine (a cooled stream only
+  /// extends its log). The whole batch is validated before any record
+  /// applies, so a malformed or out-of-order batch never half-applies. The
+  /// unnamed bool is ignored. It is kept only because perfbench/serve.cpp
+  /// passes one, and the benchmark's sources change only together with the
+  /// benchmark itself.
   IngestOutcome ingest(const std::string& name, const std::string& events_text,
                        bool = false);
-
-  /// The live-ingest stream registry (tests and benches reach streams
-  /// directly; queries go through submit with Query::stream).
-  [[nodiscard]] ingest::IngestManager& ingest_streams() { return *ingest_; }
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] obs::MetricsRegistry& metrics() { return *registry_; }
@@ -296,8 +297,6 @@ class DiagnosisService {
     std::string key;
     std::size_t shard = 0;
     std::shared_ptr<WarmSession> session;
-    /// Set instead of `session` for live-stream queries (Query::stream).
-    std::shared_ptr<ingest::IngestStream> stream;
     DiagnoseSpec spec;
     bool cacheable = true;
     /// Trace context of the *first* submitter; coalesced duplicates share
@@ -380,9 +379,6 @@ class DiagnosisService {
   std::shared_ptr<WarmBudgetLedger> ledger_;
   std::vector<std::unique_ptr<Shard>> shards_;
   StripedResultCache cache_;
-  /// Live-ingest streams; publishes resident bytes into the ledger's extra
-  /// slot (index = shard count).
-  std::unique_ptr<ingest::IngestManager> ingest_;
 
   std::atomic<bool> accepting_{true};
   std::mutex shutdown_mutex_;
@@ -411,3 +407,10 @@ class DiagnosisService {
 };
 
 }  // namespace dp::service
+
+namespace dp::ingest {
+/// A stream's stats under the name of the module streams once had. Kept only
+/// because perfbench/serve.cpp names it, and the benchmark's sources change
+/// only together with the benchmark itself.
+using IngestStreamStats = service::SessionStats;
+}  // namespace dp::ingest

@@ -1,33 +1,146 @@
 #include "service/session.h"
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/obs.h"
 #include "util/hash.h"
 
 namespace dp::service {
+namespace {
+
+void check_order(LogicalTime time, LogicalTime watermark) {
+  if (time < watermark) {
+    throw std::runtime_error("ingest: out-of-order event at t=" +
+                             std::to_string(time) +
+                             " behind stream watermark t=" +
+                             std::to_string(watermark));
+  }
+}
+
+}  // namespace
+
+std::string stream_session_key(const std::string& name) {
+  return std::string(kStreamKeyPrefix) + name;
+}
 
 WarmSession::WarmSession(std::string key, Problem problem,
-                         ReplayOptions options, obs::MetricsRegistry& registry)
+                         ReplayOptions options, obs::MetricsRegistry& registry,
+                         bool stream)
     : key_(std::move(key)),
       problem_(std::move(problem)),
       options_(std::move(options)),
-      log_hash_(log_content_hash(problem_.log)),
-      registry_(&registry) {}
+      registry_(&registry),
+      stream_(stream) {
+  for (const LogRecord& record : problem_.log.records()) note_record(record);
+  if (!stream_) return;
+  // A stream's series exist from its open, so they read 0 before any event.
+  events_counter_ = &registry.counter("dp.ingest.events");
+  registry.counter("dp.ingest.live_rebuilds");
+  registry.counter("dp.ingest.snapshots");
+  registry.sketch("dp.ingest.snapshot_us");
+  replay_log();
+}
 
-std::shared_ptr<const BadRun> WarmSession::ensure_warm() {
-  ++stats_.queries;
-  if (run_ != nullptr) {
-    ++stats_.warm_hits;
-    registry_->counter("dp.service.session.warm_hits").inc();
-    return run_;
+void WarmSession::note_record(const LogRecord& record) {
+  const std::uint64_t mixed =
+      hash_mix(hash_mix(hash_mix(hash_.load(std::memory_order_relaxed),
+                                 static_cast<std::uint64_t>(record.op)),
+                        static_cast<std::uint64_t>(record.time)),
+               static_cast<std::uint64_t>(record.tuple_ref));
+  hash_.store(mixed, std::memory_order_relaxed);
+  stats_.watermark = std::max(stats_.watermark, record.time);
+}
+
+std::size_t WarmSession::append_text(std::string_view text) {
+  // Validate the whole batch before applying any of it: parse errors carry
+  // the line number (EventLog::from_text), order errors the offending time.
+  const EventLog batch = EventLog::from_text(text);
+  LogicalTime previous = stats_.watermark;
+  for (const LogRecord& record : batch.records()) {
+    check_order(record.time, previous);
+    previous = record.time;
   }
-  DP_SPAN_CAT("dp.service.session.warm_replay", "service");
-  ++stats_.cold_replays;
-  registry_->counter("dp.service.session.cold_replays").inc();
+  for (const LogRecord& record : batch.records()) append(record);
+  update_resident();
+  return batch.size();
+}
 
+void WarmSession::append(const LogRecord& record) {
+  check_order(record.time, stats_.watermark);
+  if (engine_ != nullptr) feed(record);
+  problem_.log.append(record);
+  note_record(record);
+  ++stats_.events;
+  if (events_counter_ != nullptr) events_counter_->inc();
+  // The checkpoint covers the old log only; a later probe warms instead.
+  checkpoint_.reset();
+  probe_engine_.reset();
+}
+
+void WarmSession::feed(const LogRecord& record) {
+  // A drained engine may have run past this record's time: processing it
+  // now would order it after derivations a batch replay puts behind it.
+  // Cool instead; the next query replays the log. An engine that has
+  // processed nothing (a stream warmed from its empty log) is never ahead.
+  if (engine_->stats().events_processed != 0 &&
+      record.time <= engine_->now()) {
+    drop_run();
+    return;
+  }
+  // Batch equivalence (see header): advance to t-1 so every earlier event's
+  // consequences with time < t are settled, then schedule at t. The
+  // external seq band orders this event before any equal-time derivation.
+  // Only advance when the engine is actually behind: a run of same-time
+  // appends then stays queued and drains in one run_until (at the next
+  // advance or query), instead of paying a run_until + metrics publish per
+  // append.
+  if (record.time > 0 && engine_->now() < record.time - 1) {
+    engine_->run_until(record.time - 1);
+  }
+  schedule_record(*engine_, record);
+  fed_ = true;
+}
+
+std::shared_ptr<const BadRun> WarmSession::ensure_warm(bool* replayed) {
+  const auto started = std::chrono::steady_clock::now();
+  ++stats_.queries;
+  const bool cold = engine_ == nullptr;
+  if (cold) {
+    ++stats_.cold_replays;
+    if (warmed_) {
+      ++stats_.live_rebuilds;
+      if (stream_) registry_->counter("dp.ingest.live_rebuilds").inc();
+    }
+    if (!stream_) registry_->counter("dp.service.session.cold_replays").inc();
+    replay_log();
+  } else {
+    ++stats_.warm_hits;
+    if (!stream_) registry_->counter("dp.service.session.warm_hits").inc();
+    if (fed_) {
+      engine_->run();  // drain the records appended since the last query
+      fed_ = false;
+      update_resident();
+    }
+  }
+  if (stream_) {
+    // The previous query's lookups on the resident graph publish here too.
+    recorder_->graph().publish_metrics(*registry_);
+    registry_->counter("dp.ingest.snapshots").inc();
+    registry_->sketch("dp.ingest.snapshot_us")
+        .observe(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - started)
+                     .count());
+  }
+  if (replayed != nullptr) *replayed = cold;
+  return run_;
+}
+
+void WarmSession::replay_log() {
+  DP_SPAN_CAT("dp.service.session.warm_replay", "service");
   ReplayResult replayed =
       replay(problem_.program, problem_.topology, problem_.log, {}, options_);
   engine_ = std::move(replayed.engine);
@@ -39,30 +152,47 @@ std::shared_ptr<const BadRun> WarmSession::ensure_warm() {
   run->graph =
       std::shared_ptr<const ProvenanceGraph>(recorder_, &recorder_->graph());
   run->state = std::make_shared<EngineStateView>(engine_);
-  run_ = run;
+  run_ = std::move(run);
+  warmed_ = true;
 
   // First warm-up doubles as checkpoint time: the engine is quiescent here,
   // so the snapshot covers the whole recorded history and probe restores
   // replay an empty suffix.
   if (!checkpoint_) checkpoint_ = Checkpoint::capture(*engine_);
-
-  // Measure what this warm run actually costs to keep resident: the columnar
-  // provenance graph (the dominant term now that tuples live once in the
-  // interned store). Floor of 1 so warm => nonzero, which is what the
-  // manager's budget pass keys on.
-  const std::uint64_t measured = recorder_->graph().resident_bytes();
-  resident_bytes_.store(measured > 0 ? measured : 1,
-                        std::memory_order_relaxed);
-  return run_;
+  update_resident();
 }
 
-void WarmSession::cool() {
-  if (run_ == nullptr && probe_engine_ == nullptr) return;
+void WarmSession::drop_run() {
   run_.reset();
   recorder_.reset();
   engine_.reset();
+  fed_ = false;
+  update_resident();
+}
+
+void WarmSession::update_resident() {
+  // What the warm run keeps resident: the columnar provenance graph (the
+  // dominant term now that tuples live once in the interned store) plus the
+  // log it replays; both are O(1) reads. Floor of 1 so warm => nonzero,
+  // which is what the manager's budget pass keys on.
+  std::uint64_t bytes = 0;
+  if (recorder_ != nullptr) {
+    bytes = std::max<std::uint64_t>(
+        1, recorder_->graph().resident_bytes() + problem_.log.byte_size());
+  }
+  const std::uint64_t before =
+      resident_bytes_.exchange(bytes, std::memory_order_relaxed);
+  if (stream_ && bytes != before) {
+    registry_->gauge("dp.ingest.resident_bytes")
+        .add(static_cast<std::int64_t>(bytes) -
+             static_cast<std::int64_t>(before));
+  }
+}
+
+void WarmSession::cool() {
+  if (engine_ == nullptr && probe_engine_ == nullptr) return;
+  drop_run();
   probe_engine_.reset();
-  resident_bytes_.store(0, std::memory_order_relaxed);
   registry_->counter("dp.service.session.evictions").inc();
 }
 
@@ -81,10 +211,17 @@ bool WarmSession::probe_live(const Tuple& tuple) {
                                 options_.engine_config);
     return probe_engine_->is_live(tuple);
   }
-  // Never queried, so no checkpoint exists yet: warm up fully (this also
-  // captures the checkpoint for the session's later cooled life).
+  // Never queried (or appended to since), so no checkpoint exists: warm up
+  // fully (this also captures the checkpoint for the session's later cooled
+  // life).
   ensure_warm();
   return engine_->is_live(tuple);
+}
+
+SessionStats WarmSession::stats() const {
+  SessionStats snapshot = stats_;
+  snapshot.resident_bytes = resident_bytes();
+  return snapshot;
 }
 
 std::string inline_session_key(const std::string& program_text,
@@ -97,12 +234,11 @@ std::string inline_session_key(const std::string& program_text,
 }
 
 WarmBudgetLedger::WarmBudgetLedger(std::uint64_t total_bytes,
-                                   std::size_t shards,
-                                   std::size_t extra_slots)
+                                   std::size_t shards)
     : total_(total_bytes),
       share_(total_bytes == 0 ? 0
                               : total_bytes / std::max<std::size_t>(1, shards)),
-      usage_(std::max<std::size_t>(1, shards) + extra_slots) {}
+      usage_(std::max<std::size_t>(1, shards)) {}
 
 void WarmBudgetLedger::publish(std::size_t shard, std::uint64_t bytes) {
   usage_[shard % usage_.size()].store(bytes, std::memory_order_relaxed);
@@ -136,19 +272,27 @@ SessionManager::SessionManager(std::size_t max_warm,
       ledger_(std::move(ledger)),
       shard_index_(shard_index),
       options_(std::move(options)),
-      registry_(&registry) {}
+      registry_(&registry) {
+  // The stream gauges exist (at 0) before any stream opens.
+  registry.gauge("dp.ingest.streams");
+  registry.gauge("dp.ingest.resident_bytes");
+}
+
+std::shared_ptr<WarmSession> SessionManager::find(const std::string& key,
+                                                  bool stream) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = sessions_.find(key);
+  if (it == sessions_.end() || it->second->is_stream() != stream) {
+    return nullptr;
+  }
+  recency_.remove(key);
+  recency_.push_front(key);
+  return it->second;
+}
 
 std::shared_ptr<WarmSession> SessionManager::get_scenario(
     const std::string& name, std::string& error) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sessions_.find(name);
-    if (it != sessions_.end()) {
-      recency_.remove(name);
-      recency_.push_front(name);
-      return it->second;
-    }
-  }
+  if (auto session = find(name, /*stream=*/false)) return session;
   // Build outside the lock: scenario assembly replays nothing but does parse
   // programs and synthesize logs.
   std::ostringstream err;
@@ -158,22 +302,14 @@ std::shared_ptr<WarmSession> SessionManager::get_scenario(
     if (error.empty()) error = "unknown scenario: " + name;
     return nullptr;
   }
-  return intern(name, std::move(problem), error);
+  return intern(name, std::move(*problem), /*stream=*/false);
 }
 
 std::shared_ptr<WarmSession> SessionManager::get_inline(
     const std::string& program_text, const std::string& log_text,
     std::string& error) {
   const std::string key = inline_session_key(program_text, log_text);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sessions_.find(key);
-    if (it != sessions_.end()) {
-      recency_.remove(key);
-      recency_.push_front(key);
-      return it->second;
-    }
-  }
+  if (auto session = find(key, /*stream=*/false)) return session;
   std::optional<Problem> problem;
   try {
     problem = parse_problem(program_text, log_text);
@@ -181,13 +317,25 @@ std::shared_ptr<WarmSession> SessionManager::get_inline(
     error = e.what();
     return nullptr;
   }
-  return intern(key, std::move(problem), error);
+  return intern(key, std::move(*problem), /*stream=*/false);
 }
 
-std::shared_ptr<WarmSession> SessionManager::intern(
-    const std::string& key, std::optional<Problem> problem,
-    std::string& error) {
-  (void)error;
+std::shared_ptr<WarmSession> SessionManager::open_stream(
+    const std::string& name, Problem problem) {
+  const std::string key = stream_session_key(name);
+  if (auto session = find(key, /*stream=*/true)) return session;
+  problem.log = EventLog();
+  return intern(key, std::move(problem), /*stream=*/true);
+}
+
+std::shared_ptr<WarmSession> SessionManager::find_stream(
+    const std::string& name) {
+  return find(stream_session_key(name), /*stream=*/true);
+}
+
+std::shared_ptr<WarmSession> SessionManager::intern(const std::string& key,
+                                                    Problem problem,
+                                                    bool stream) {
   std::shared_ptr<WarmSession> session;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -195,19 +343,20 @@ std::shared_ptr<WarmSession> SessionManager::intern(
     if (it == sessions_.end()) {
       it = sessions_
                .emplace(key, std::make_shared<WarmSession>(
-                                 key, std::move(*problem), options_,
-                                 *registry_))
+                                 key, std::move(problem), options_,
+                                 *registry_, stream))
                .first;
       // Delta, not absolute: with one manager per shard publishing into the
       // same registry, the gauge totals sessions across the whole service.
-      registry_->gauge("dp.service.sessions").add(1);
+      registry_->gauge(stream ? "dp.ingest.streams" : "dp.service.sessions")
+          .add(1);
     }
     recency_.remove(key);
     recency_.push_front(key);
     session = it->second;
   }
-  // A fresh session is cold (zero footprint), but interning bumps recency,
-  // which can change which sessions an over-budget pass would cool.
+  // A fresh session may already be warm (a stream), and interning bumps
+  // recency, which can change which sessions an over-budget pass would cool.
   enforce_budget();
   return session;
 }
@@ -234,9 +383,8 @@ void SessionManager::enforce_budget() {
   }
 
   // The warm set's measured footprint: sessions report the resident bytes of
-  // their replayed provenance graph (0 when cooled), so the budget tracks
-  // what the graphs actually cost rather than assuming every session weighs
-  // the same.
+  // their warm run (0 when cooled), so the budget tracks what the graphs
+  // actually cost rather than assuming every session weighs the same.
   std::uint64_t bytes = 0;
   std::size_t warm = 0;
   for (const auto& session : by_recency) {
@@ -289,33 +437,22 @@ std::uint64_t SessionManager::warm_bytes() const {
   return bytes;
 }
 
-std::size_t SessionManager::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sessions_.size();
-}
-
-std::size_t SessionManager::warm_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t warm = 0;
-  for (const auto& [key, session] : sessions_) {
-    if (!session->mutex().try_lock()) {
-      ++warm;  // busy implies a worker is inside, which implies warm
-      continue;
-    }
-    if (session->is_warm()) ++warm;
-    session->mutex().unlock();
-  }
-  return warm;
-}
-
 std::vector<std::pair<std::string, SessionStats>> SessionManager::stats()
     const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Snapshot under the manager lock, then lock each session outside it: a
+  // stats reader waiting on a session mid-diagnosis must not stall the
+  // lookups every submit makes.
+  std::vector<std::shared_ptr<WarmSession>> sessions;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    sessions.reserve(sessions_.size());
+    for (const auto& [key, session] : sessions_) sessions.push_back(session);
+  }
   std::vector<std::pair<std::string, SessionStats>> out;
-  out.reserve(sessions_.size());
-  for (const auto& [key, session] : sessions_) {
+  out.reserve(sessions.size());
+  for (const auto& session : sessions) {
     std::lock_guard<std::mutex> session_lock(session->mutex());
-    out.emplace_back(key, session->stats());
+    out.emplace_back(session->key(), session->stats());
   }
   return out;
 }

@@ -41,8 +41,10 @@ constexpr const char* kUsage =
     "(default 8).\n"
     "\n"
     "live ingest: {\"op\":\"ingest_open\"} + {\"op\":\"ingest\"} stream base\n"
-    "events into an always-current provenance graph; submit with\n"
-    "\"stream\" diagnoses against it without replay.\n"
+    "events into a warm session whose engine they feed; submit with\n"
+    "\"stream\" diagnoses against it without replay. --max-warm and\n"
+    "--warm-bytes cool streams like any session; a cooled stream replays\n"
+    "its log at its next query.\n"
     "\n"
     "the same port answers HTTP GETs: /metrics (Prometheus text, with\n"
     "dp.*_p50/_p95/_p99/_p999 quantile-sketch series), /healthz, /tracez\n"

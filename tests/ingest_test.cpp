@@ -1,22 +1,23 @@
-// Tests for the streaming-ingest subsystem (src/ingest): byte-identity of
-// live-stream diagnoses with the one-shot CLI's batch replay (the contract:
-// a diagnosis against the always-current graph equals a cold replay of the
-// same prefix, bit for bit), stale-append rebuilds, batch validation, and
-// the service-level wiring: stream queries, the ingest_snapshot_us explain
-// phase, NDJSON ingest ops, and the TSan target where appenders, queries,
-// and stats readers race on one stream.
+// Tests for live streams -- warm sessions whose log grows
+// (service/session.h): byte-identity of stream diagnoses with the one-shot
+// CLI's batch replay (the contract: a diagnosis against the fed engine
+// equals a cold replay of the same prefix, bit for bit), stale-append
+// rebuilds, batch validation, and the service-level wiring: stream queries,
+// the ingest_snapshot_us explain phase, NDJSON ingest ops, a stream cooled
+// by the budget, and the TSan target where appenders, queries, and stats
+// readers race on one stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ingest/manager.h"
-#include "ingest/stream.h"
 #include "ndlog/parser.h"
 #include "obs/json_check.h"
 #include "obs/metrics.h"
@@ -24,9 +25,10 @@
 #include "service/problem.h"
 #include "service/protocol.h"
 #include "service/service.h"
+#include "service/session.h"
 #include "tools/cli.h"
 
-namespace dp::ingest {
+namespace dp::service {
 namespace {
 
 constexpr const char* kAllScenarios[] = {
@@ -39,9 +41,9 @@ constexpr const char* kAllScenarios[] = {
 /// log-order) processing order, so diagnoses over the sorted log are
 /// byte-identical to the authored scenario (the full-log tests below check
 /// that against the CLI directly).
-service::Problem scenario(const std::string& name) {
+Problem scenario(const std::string& name) {
   std::ostringstream err;
-  auto problem = service::builtin_scenario(name, err);
+  auto problem = builtin_scenario(name, err);
   EXPECT_TRUE(problem.has_value()) << err.str();
   std::vector<LogRecord> records = problem->log.records();
   std::stable_sort(
@@ -53,8 +55,8 @@ service::Problem scenario(const std::string& name) {
   return std::move(*problem);
 }
 
-service::DiagnoseSpec spec_for(const service::Problem& problem) {
-  service::DiagnoseSpec spec;
+DiagnoseSpec spec_for(const Problem& problem) {
+  DiagnoseSpec spec;
   spec.good_event = problem.good_event;
   spec.bad_event = *problem.bad_event;
   return spec;
@@ -70,32 +72,27 @@ EventLog prefix_log(const EventLog& log, std::size_t n) {
 
 /// The cold oracle: a one-shot diagnosis over `n` records of the scenario
 /// log, exactly what the CLI would compute for the same prefix.
-service::DiagnoseOutcome cold_answer(const service::Problem& problem,
-                                     std::size_t n) {
-  service::Problem prefix{problem.program, problem.topology,
-                          prefix_log(problem.log, n), problem.good_event,
-                          problem.bad_event};
+DiagnoseOutcome cold_answer(const Problem& problem, std::size_t n) {
+  Problem prefix{problem.program, problem.topology, prefix_log(problem.log, n),
+                 problem.good_event, problem.bad_event};
   return diagnose_problem(prefix, spec_for(problem), ReplayOptions{});
 }
 
-void expect_same_answer(const service::DiagnoseOutcome& live,
-                        const service::DiagnoseOutcome& cold,
+void expect_same_answer(const DiagnoseOutcome& live,
+                        const DiagnoseOutcome& cold,
                         const std::string& what) {
   EXPECT_EQ(live.out, cold.out) << what;
   EXPECT_EQ(live.err, cold.err) << what;
   EXPECT_EQ(live.exit_code, cold.exit_code) << what;
 }
 
-/// Diagnoses against the stream's always-current run and checks the bytes
-/// against a cold replay of the same prefix.
-void check_cut(IngestStream& stream, const service::Problem& problem,
-               std::size_t n, const std::string& what) {
-  auto run = stream.ensure_current();
-  service::Problem live_problem{stream.program(), stream.topology(),
-                                stream.log(), stream.good_event(),
-                                stream.bad_event()};
-  const auto live =
-      diagnose_problem(live_problem, spec_for(problem), ReplayOptions{}, run);
+/// Diagnoses against the stream's fed run and checks the bytes against a
+/// cold replay of the same prefix. Caller holds the stream's mutex.
+void check_cut(WarmSession& stream, const Problem& problem, std::size_t n,
+               const std::string& what) {
+  auto run = stream.ensure_warm();
+  const auto live = diagnose_problem(stream.problem(), spec_for(problem),
+                                     ReplayOptions{}, run);
   expect_same_answer(live, cold_answer(problem, n), what);
 }
 
@@ -103,11 +100,13 @@ void check_cut(IngestStream& stream, const service::Problem& problem,
 
 TEST(IngestStream, ByteIdenticalToBatchReplayAtEveryCut) {
   for (const char* name : kAllScenarios) {
-    const service::Problem problem = scenario(name);
+    const Problem problem = scenario(name);
     obs::MetricsRegistry registry;
-    IngestStream stream(name, problem.program, problem.topology,
-                        problem.good_event, problem.bad_event, ReplayOptions{},
-                        registry);
+    SessionManager sessions(8, 0, ReplayOptions{}, registry);
+    const std::shared_ptr<WarmSession> opened =
+        sessions.open_stream(name, problem);
+    WarmSession& stream = *opened;
+    std::lock_guard<std::mutex> lock(stream.mutex());
 
     // Cuts: an early prefix, two thirds of the log, and the full log.
     const std::size_t total = problem.log.size();
@@ -126,20 +125,19 @@ TEST(IngestStream, ByteIdenticalToBatchReplayAtEveryCut) {
       check_cut(stream, problem, cut,
                 std::string(name) + " cut@" + std::to_string(cut));
     }
-    const IngestStreamStats stats = stream.stats();
+    const SessionStats stats = stream.stats();
     EXPECT_EQ(stats.events, total);
-    EXPECT_EQ(stats.snapshots, cuts.size());
+    EXPECT_EQ(stats.queries, cuts.size()) << "one snapshot per query";
     EXPECT_EQ(stats.watermark, problem.log.records().back().time);
   }
 }
 
 TEST(IngestStream, SameTimeAppendRunsStraddlingEpochSealsStayIdentical) {
-  // Live-tap appends that share a timestamp are left queued (feed_live only
-  // advances the engine when it is behind) and drain through the engine's
-  // batched execution path at the next snapshot. Cut inside each same-time
-  // run and check every cut is still byte-identical to a cold batch replay
-  // of the same prefix.
-  service::Problem problem;
+  // Live-tap appends that share a timestamp are left queued (a feed only
+  // advances the engine when it is behind) and drain together at the next
+  // query. Cut inside each same-time run and check every cut is still
+  // byte-identical to a cold batch replay of the same prefix.
+  Problem problem;
   problem.program = parse_program(R"(
     table src(2) keys(0, 1) base mutable.
     table hop(3) keys(0, 1) base mutable.
@@ -159,9 +157,11 @@ TEST(IngestStream, SameTimeAppendRunsStraddlingEpochSealsStayIdentical) {
   problem.bad_event = Tuple("reach", {Value("n1"), Value(3), Value(103)});
 
   obs::MetricsRegistry registry;
-  IngestStream stream("straddle", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      registry);
+  SessionManager sessions(8, 0, ReplayOptions{}, registry);
+  const std::shared_ptr<WarmSession> opened =
+      sessions.open_stream("straddle", problem);
+  WarmSession& stream = *opened;
+  std::lock_guard<std::mutex> lock(stream.mutex());
   std::size_t fed = 0;
   for (const std::size_t cut : {std::size_t{7}, std::size_t{13}, log.size()}) {
     for (; fed < cut; ++fed) stream.append(log.records()[fed]);
@@ -170,24 +170,26 @@ TEST(IngestStream, SameTimeAppendRunsStraddlingEpochSealsStayIdentical) {
 }
 
 TEST(IngestStream, StaleAppendFallsBackToOneRebuild) {
-  const service::Problem problem = scenario("sdn1");
+  const Problem problem = scenario("sdn1");
   obs::MetricsRegistry registry;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      registry);
+  SessionManager sessions(8, 0, ReplayOptions{}, registry);
+  const std::shared_ptr<WarmSession> opened =
+      sessions.open_stream("sdn1", problem);
+  WarmSession& stream = *opened;
+  std::lock_guard<std::mutex> lock(stream.mutex());
   const auto& records = problem.log.records();
   const std::size_t half = records.size() / 2;
   for (std::size_t i = 0; i < half; ++i) stream.append(records[i]);
 
   bool rebuilt = true;
-  stream.ensure_current(&rebuilt);
+  stream.ensure_warm(&rebuilt);
   EXPECT_FALSE(rebuilt) << "incremental feed needs no rebuild";
 
-  // The snapshot quiesced the engine at the watermark; appending another
-  // record at that same time lands at-or-before the horizon and must flag
-  // the live engine stale instead of silently diverging.
+  // The query drained the engine to the watermark; appending another record
+  // at that same time lands at-or-before the engine's clock and must cool
+  // the stream instead of silently diverging.
   LogRecord stale = records[half];
-  stale.time = stream.watermark();
+  stale.time = stream.stats().watermark;
   stream.append(stale);
   for (std::size_t i = half + 1; i < records.size(); ++i) {
     LogRecord record = records[i];
@@ -195,32 +197,31 @@ TEST(IngestStream, StaleAppendFallsBackToOneRebuild) {
     stream.append(record);
   }
 
-  stream.ensure_current(&rebuilt);
+  stream.ensure_warm(&rebuilt);
   EXPECT_TRUE(rebuilt) << "post-quiescence append at the horizon rebuilds";
   EXPECT_EQ(stream.stats().live_rebuilds, 1u);
 
   // And the rebuilt answer still equals a cold replay of the same log.
-  service::Problem live_problem{stream.program(), stream.topology(),
-                                stream.log(), stream.good_event(),
-                                stream.bad_event()};
-  const auto live = diagnose_problem(live_problem, spec_for(problem),
-                                     ReplayOptions{}, stream.ensure_current());
+  const auto live = diagnose_problem(stream.problem(), spec_for(problem),
+                                     ReplayOptions{}, stream.ensure_warm());
   const auto cold =
-      diagnose_problem(live_problem, spec_for(problem), ReplayOptions{});
+      diagnose_problem(stream.problem(), spec_for(problem), ReplayOptions{});
   expect_same_answer(live, cold, "after rebuild");
   EXPECT_EQ(stream.stats().live_rebuilds, 1u) << "rebuild repairs, once";
 }
 
 TEST(IngestStream, RejectsOutOfOrderAndHalfBatches) {
-  const service::Problem problem = scenario("sdn1");
+  const Problem problem = scenario("sdn1");
   obs::MetricsRegistry registry;
-  IngestStream stream("sdn1", problem.program, problem.topology,
-                      problem.good_event, problem.bad_event, ReplayOptions{},
-                      registry);
+  SessionManager sessions(8, 0, ReplayOptions{}, registry);
+  const std::shared_ptr<WarmSession> opened =
+      sessions.open_stream("sdn1", problem);
+  WarmSession& stream = *opened;
+  std::lock_guard<std::mutex> lock(stream.mutex());
   const std::string text = problem.log.to_text();
   const std::size_t appended = stream.append_text(text);
   EXPECT_EQ(appended, problem.log.size());
-  const LogicalTime watermark = stream.watermark();
+  const LogicalTime watermark = stream.stats().watermark;
 
   LogRecord behind = problem.log.records().front();
   behind.time = watermark - 1;
@@ -231,21 +232,20 @@ TEST(IngestStream, RejectsOutOfOrderAndHalfBatches) {
   const std::string head =
       "+ " + problem.log.records().back().tuple().to_string() + " @ " +
       std::to_string(watermark + 1) + "\n";
-  const std::size_t before = stream.log().size();
+  const std::size_t before = stream.problem().log.size();
   EXPECT_THROW(stream.append_text(head + "not an event line\n"),
                std::exception);
   EXPECT_THROW(stream.append_text(
                    head + "+ " +
                    problem.log.records().front().tuple().to_string() + " @ 0\n"),
                std::exception);
-  EXPECT_EQ(stream.log().size(), before);
-  EXPECT_EQ(stream.watermark(), watermark);
+  EXPECT_EQ(stream.problem().log.size(), before);
+  EXPECT_EQ(stream.stats().watermark, watermark);
 }
 
 // ------------------------------------------------- service wiring --
 
-service::QueryStatus wait_done(service::DiagnosisService& service,
-                               const service::SubmitOutcome& s) {
+QueryStatus wait_done(DiagnosisService& service, const SubmitOutcome& s) {
   EXPECT_TRUE(s.ok()) << s.error;
   auto status = service.wait(s.id);
   EXPECT_TRUE(status.has_value());
@@ -266,14 +266,14 @@ CliAnswer run_cli(const std::vector<std::string>& args) {
 
 TEST(IngestService, StreamQueriesAreByteIdenticalToTheCli) {
   const CliAnswer expected = run_cli({"--scenario", "sdn1"});
-  const service::Problem problem = scenario("sdn1");
+  const Problem problem = scenario("sdn1");
 
   obs::MetricsRegistry registry;
-  service::ServiceConfig config;
+  ServiceConfig config;
   config.metrics = &registry;
-  service::DiagnosisService service(config);
+  DiagnosisService service(config);
 
-  const service::IngestOutcome opened = service.open_stream("live", "sdn1");
+  const IngestOutcome opened = service.open_stream("live", "sdn1");
   ASSERT_TRUE(opened.ok) << opened.error;
   EXPECT_EQ(opened.stream.events, 0u) << "streams open empty";
 
@@ -289,14 +289,14 @@ TEST(IngestService, StreamQueriesAreByteIdenticalToTheCli) {
     (i < half ? first_half : second_half) += lines[i] + "\n";
   }
 
-  service::IngestOutcome fed = service.ingest("live", first_half);
+  IngestOutcome fed = service.ingest("live", first_half);
   ASSERT_TRUE(fed.ok) << fed.error;
   EXPECT_EQ(fed.accepted, half);
 
-  service::Query query;
+  Query query;
   query.stream = "live";
-  const service::QueryStatus mid = wait_done(service, service.submit(query));
-  ASSERT_EQ(mid.state, service::QueryState::kDone);
+  const QueryStatus mid = wait_done(service, service.submit(query));
+  ASSERT_EQ(mid.state, QueryState::kDone);
   const auto cold_mid = cold_answer(problem, half);
   EXPECT_EQ(mid.result.out, cold_mid.out);
   EXPECT_EQ(mid.result.err, cold_mid.err);
@@ -306,18 +306,18 @@ TEST(IngestService, StreamQueriesAreByteIdenticalToTheCli) {
   ASSERT_TRUE(fed.ok) << fed.error;
   EXPECT_EQ(fed.stream.events, lines.size());
 
-  const service::QueryStatus full = wait_done(service, service.submit(query));
+  const QueryStatus full = wait_done(service, service.submit(query));
   EXPECT_EQ(full.result.out, expected.out);
   EXPECT_EQ(full.result.err, expected.err);
   EXPECT_EQ(full.result.exit_code, expected.exit_code);
   EXPECT_FALSE(full.cache_hit) << "the prefix grew; the old key is stale";
 
   // Same prefix again: the content-hash cache key serves it without a run.
-  const service::QueryStatus again = wait_done(service, service.submit(query));
+  const QueryStatus again = wait_done(service, service.submit(query));
   EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.result.out, expected.out);
 
-  const service::ServiceStats stats = service.stats();
+  const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.ingest_streams, 1u);
   EXPECT_EQ(stats.ingest_events, lines.size());
   ASSERT_EQ(stats.per_stream.size(), 1u);
@@ -328,55 +328,111 @@ TEST(IngestService, StreamQueriesAreByteIdenticalToTheCli) {
 
 TEST(IngestService, ValidationAndIdempotentOpen) {
   obs::MetricsRegistry registry;
-  service::ServiceConfig config;
+  ServiceConfig config;
   config.metrics = &registry;
-  service::DiagnosisService service(config);
+  DiagnosisService service(config);
 
   EXPECT_FALSE(service.open_stream("", "sdn1").ok);
   EXPECT_FALSE(service.open_stream("s", "").ok) << "needs scenario or program";
   EXPECT_FALSE(service.open_stream("s", "no-such-scenario").ok);
 
-  const service::IngestOutcome first = service.open_stream("s", "sdn1");
+  const IngestOutcome first = service.open_stream("s", "sdn1");
   ASSERT_TRUE(first.ok) << first.error;
-  const service::IngestOutcome again = service.open_stream("s", "sdn2");
+  const IngestOutcome again = service.open_stream("s", "sdn2");
   EXPECT_TRUE(again.ok) << "reopen is idempotent, program ignored";
-  EXPECT_EQ(service.ingest_streams().size(), 1u);
+  EXPECT_EQ(service.stats().ingest_streams, 1u);
 
-  const service::IngestOutcome missing = service.ingest("ghost", "+ x(@a) @ 1");
+  const IngestOutcome missing = service.ingest("ghost", "+ x(@a) @ 1");
   EXPECT_FALSE(missing.ok);
   EXPECT_NE(missing.error.find("unknown ingest stream"), std::string::npos);
   EXPECT_NE(missing.error.find("ingest_open"), std::string::npos);
 
-  service::Query query;
+  Query query;
   query.stream = "ghost";
-  const service::SubmitOutcome submit = service.submit(query);
+  const SubmitOutcome submit = service.submit(query);
   EXPECT_FALSE(submit.ok());
   EXPECT_NE(submit.error.find("unknown ingest stream"), std::string::npos);
 
-  service::Query both;
+  Query both;
   both.stream = "s";
   both.scenario = "sdn1";
   EXPECT_FALSE(service.submit(both).ok())
       << "a query names a stream or a scenario, not both";
 
-  const service::IngestOutcome bad = service.ingest("s", "garbage");
+  const IngestOutcome bad = service.ingest("s", "garbage");
   EXPECT_FALSE(bad.ok);
-  EXPECT_EQ(service.ingest_streams().find("s")->stats().events, 0u);
+  EXPECT_EQ(service.stats().per_stream.at(0).second.events, 0u);
+}
+
+TEST(IngestService, CooledStreamRewarmsByteIdentically) {
+  // A stream is a session like any other: a 1-byte budget cools it once a
+  // scenario query is more recent, appends to the cooled stream only extend
+  // its log, and its next query replays that log -- one rebuild, same bytes
+  // as a cold replay of the prefix.
+  const Problem problem = scenario("sdn1");
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  config.warm_bytes_budget = 1;
+  DiagnosisService service(config);
+  ASSERT_TRUE(service.open_stream("live", "sdn1").ok);
+
+  std::vector<std::string> lines;
+  std::istringstream split(problem.log.to_text());
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  const std::size_t half = lines.size() / 2;
+  std::string first_half, second_half;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    (i < half ? first_half : second_half) += lines[i] + "\n";
+  }
+  ASSERT_TRUE(service.ingest("live", first_half).ok);
+
+  Query other;
+  other.scenario = "sdn2";
+  wait_done(service, service.submit(other));
+  const auto stream_stats = [&] {
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.per_stream.size(), 1u);
+    return stats.per_stream.at(0).second;
+  };
+  EXPECT_EQ(stream_stats().resident_bytes, 0u) << "the LRU stream cooled";
+
+  const IngestOutcome fed = service.ingest("live", second_half);
+  ASSERT_TRUE(fed.ok) << fed.error;
+  EXPECT_EQ(fed.stream.resident_bytes, 0u) << "a cold stream only logs";
+  EXPECT_EQ(fed.stream.events, lines.size());
+
+  Query query;
+  query.stream = "live";
+  const QueryStatus status = wait_done(service, service.submit(query));
+  const DiagnoseOutcome cold = cold_answer(problem, lines.size());
+  EXPECT_EQ(status.result.out, cold.out);
+  EXPECT_EQ(status.result.err, cold.err);
+  EXPECT_EQ(status.result.exit_code, cold.exit_code);
+  EXPECT_NE(status.result.profile_json.find("\"warm_hit\":false"),
+            std::string::npos);
+
+  const SessionStats after = stream_stats();
+  EXPECT_EQ(after.live_rebuilds, 1u);
+  EXPECT_GT(after.resident_bytes, 0u)
+      << "the stream just queried is not the session its budget pass cools";
+  EXPECT_EQ(service.stats().warm_sessions, 0u) << "sdn2 cooled instead";
+  EXPECT_EQ(registry.counter("dp.ingest.live_rebuilds").value(), 1u);
 }
 
 TEST(IngestService, ExplainProfileCarriesTheSnapshotPhase) {
-  const service::Problem problem = scenario("sdn1");
+  const Problem problem = scenario("sdn1");
   obs::MetricsRegistry registry;
-  service::ServiceConfig config;
+  ServiceConfig config;
   config.metrics = &registry;
-  service::DiagnosisService service(config);
+  DiagnosisService service(config);
   ASSERT_TRUE(service.open_stream("live", "sdn1").ok);
   ASSERT_TRUE(service.ingest("live", problem.log.to_text()).ok);
 
-  service::Query query;
+  Query query;
   query.stream = "live";
-  const service::QueryStatus status = wait_done(service, service.submit(query));
-  ASSERT_EQ(status.state, service::QueryState::kDone);
+  const QueryStatus status = wait_done(service, service.submit(query));
+  ASSERT_EQ(status.state, QueryState::kDone);
   ASSERT_FALSE(status.result.profile_json.empty());
 
   std::string error;
@@ -406,15 +462,15 @@ TEST(IngestService, ExplainProfileCarriesTheSnapshotPhase) {
 }
 
 TEST(IngestProtocol, NdjsonOpsRoundTrip) {
-  const service::Problem problem = scenario("sdn1");
+  const Problem problem = scenario("sdn1");
   obs::MetricsRegistry registry;
-  service::ServiceConfig config;
+  ServiceConfig config;
   config.metrics = &registry;
-  service::DiagnosisService service(config);
+  DiagnosisService service(config);
   bool shutdown = false;
 
   auto call = [&](const std::string& line) {
-    const std::string reply = service::handle_request(service, line, shutdown);
+    const std::string reply = handle_request(service, line, shutdown);
     std::string error;
     auto json = obs::Json::parse(reply, error);
     EXPECT_TRUE(json.has_value()) << error << " in " << reply;
@@ -467,12 +523,12 @@ TEST(IngestProtocol, NdjsonOpsRoundTrip) {
 // reader race on one live stream.
 
 TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
-  const service::Problem problem = scenario("sdn1");
+  const Problem problem = scenario("sdn1");
   obs::MetricsRegistry registry;
-  service::ServiceConfig config;
+  ServiceConfig config;
   config.metrics = &registry;
   config.workers = 2;
-  service::DiagnosisService service(config);
+  DiagnosisService service(config);
   ASSERT_TRUE(service.open_stream("live", "sdn1").ok);
 
   std::vector<std::string> lines;
@@ -486,7 +542,7 @@ TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
       for (std::size_t j = i; j < std::min(i + 3, lines.size()); ++j) {
         batch += lines[j] + "\n";
       }
-      const service::IngestOutcome fed = service.ingest("live", batch);
+      const IngestOutcome fed = service.ingest("live", batch);
       EXPECT_TRUE(fed.ok) << fed.error;
       std::this_thread::yield();
     }
@@ -506,14 +562,14 @@ TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&] {
       for (int i = 0; i < 8; ++i) {
-        service::Query query;
+        Query query;
         query.stream = "live";
         query.bypass_cache = true;
-        const service::SubmitOutcome submitted = service.submit(query);
+        const SubmitOutcome submitted = service.submit(query);
         if (!submitted.ok()) continue;  // shed under load is fine
         const auto status = service.wait(submitted.id);
         ASSERT_TRUE(status.has_value());
-        if (status->state == service::QueryState::kDone) {
+        if (status->state == QueryState::kDone) {
           completed.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -525,10 +581,10 @@ TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
   EXPECT_GT(completed.load(), 0);
 
   // Quiesced: the full stream now answers exactly like the one-shot CLI.
-  service::Query query;
+  Query query;
   query.stream = "live";
   query.bypass_cache = true;
-  const service::QueryStatus final_status =
+  const QueryStatus final_status =
       wait_done(service, service.submit(query));
   const CliAnswer expected = run_cli({"--scenario", "sdn1"});
   EXPECT_EQ(final_status.result.out, expected.out);
@@ -537,4 +593,4 @@ TEST(IngestServiceConcurrency, AppendersQueriesAndMaintenanceRace) {
 }
 
 }  // namespace
-}  // namespace dp::ingest
+}  // namespace dp::service

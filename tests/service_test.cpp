@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -292,10 +293,8 @@ TEST(Service, AutoReferenceAndMinimizeMatchTheCliToo) {
   }
 }
 
-TEST(Service, InlineProblemsMatchTheCliFilePath) {
-  // The same program/log text through both front-ends: --program/--log
-  // files for the CLI, inline JSON-style text for the service.
-  const std::string program_text = R"(
+/// An inline problem: a two-entry forwarding table and two packets.
+constexpr const char* kInlineProgram = R"(
     table packet(3) base immutable event.
     table flowEntry(4) keys(0, 2) base mutable.
     table delivered(3) derived.
@@ -306,12 +305,18 @@ TEST(Service, InlineProblemsMatchTheCliFilePath) {
         packetAt(@Sw, Pkt, Dst),
         flowEntry(@Sw, Prio, Prefix, Next),
         f_matches(Dst, Prefix) == 1.
-  )";
-  const std::string log_text =
-      "+ flowEntry(@S1, 10, 10.0.0.0/8, \"h1\") @ 0\n"
-      "+ flowEntry(@S1, 5, 20.0.0.0/8, \"h2\") @ 0\n"
-      "+ packet(@S1, 1, 10.1.1.1) @ 100\n"
-      "+ packet(@S1, 2, 20.1.1.1) @ 200\n";
+)";
+constexpr const char* kInlineLog =
+    "+ flowEntry(@S1, 10, 10.0.0.0/8, \"h1\") @ 0\n"
+    "+ flowEntry(@S1, 5, 20.0.0.0/8, \"h2\") @ 0\n"
+    "+ packet(@S1, 1, 10.1.1.1) @ 100\n"
+    "+ packet(@S1, 2, 20.1.1.1) @ 200\n";
+
+TEST(Service, InlineProblemsMatchTheCliFilePath) {
+  // The same program/log text through both front-ends: --program/--log
+  // files for the CLI, inline JSON-style text for the service.
+  const std::string program_text = kInlineProgram;
+  const std::string log_text = kInlineLog;
   const std::string dir = ::testing::TempDir();
   const std::string program_path = dir + "/service_test_program.ndlog";
   const std::string log_path = dir + "/service_test_log.txt";
@@ -341,6 +346,37 @@ TEST(Service, InlineProblemsMatchTheCliFilePath) {
   const QueryStatus again = wait_done(service, service.submit(query));
   EXPECT_TRUE(again.cache_hit);
   EXPECT_EQ(again.result.out, expected.out);
+}
+
+TEST(Service, InlineProblemsOverOneLogKeepTheirOwnCacheLines) {
+  // Two programs over one log are two problems: the second must not be
+  // answered from the first one's cache line.
+  std::string other_program = kInlineProgram;
+  other_program.replace(other_program.find("== 1"), 4, "== 2");
+
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+  DiagnosisService service(config);
+  Query query;
+  query.program_text = kInlineProgram;
+  query.log_text = kInlineLog;
+  query.good = "delivered(@h1, 1, 10.1.1.1)";
+  query.bad = "delivered(@h2, 2, 20.1.1.1)";
+  const QueryStatus first = wait_done(service, service.submit(query));
+  EXPECT_EQ(first.result.exit_code, 0) << first.result.err;
+
+  query.program_text = other_program;
+  const QueryStatus second = wait_done(service, service.submit(query));
+  query.bypass_cache = true;
+  const QueryStatus own = wait_done(service, service.submit(query));
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_EQ(own.result.exit_code, 1);
+  EXPECT_NE(own.result.err.find("does not occur"), std::string::npos)
+      << own.result.err;
+  EXPECT_EQ(second.result.exit_code, own.result.exit_code);
+  EXPECT_EQ(second.result.out, own.result.out);
+  EXPECT_EQ(second.result.err, own.result.err);
 }
 
 TEST(Service, ValidationErrorsAreExplicit) {
@@ -495,6 +531,31 @@ TEST(SessionManager, GenerousByteBudgetKeepsTheWarmSetResident) {
   }
   EXPECT_EQ(registry.counter("dp.service.session.evictions").value(), 0u);
   EXPECT_EQ(manager.warm_bytes(), a->resident_bytes() + b->resident_bytes());
+}
+
+TEST(SessionManager, StatsNeverStallLookupsBehindABusySession) {
+  // A stats reader waits for a session a worker holds; lookups of other
+  // sessions on the same manager must not wait behind it.
+  obs::MetricsRegistry registry;
+  SessionManager manager(/*max_warm=*/8, /*warm_bytes_budget=*/0,
+                         ReplayOptions{}, registry);
+  std::string error;
+  std::shared_ptr<WarmSession> busy = manager.get_scenario("sdn1", error);
+  ASSERT_NE(busy, nullptr) << error;
+
+  std::unique_lock<std::mutex> worker(busy->mutex());
+  std::thread reader([&] { (void)manager.stats(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::string lookup_error;
+  auto lookup = std::async(std::launch::async, [&] {
+    return manager.get_scenario("sdn2", lookup_error);
+  });
+  const bool finished =
+      lookup.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  worker.unlock();
+  reader.join();
+  EXPECT_TRUE(finished) << "a lookup stalled behind a stats reader";
+  EXPECT_NE(lookup.get(), nullptr) << lookup_error;
 }
 
 TEST(WarmSession, CooledProbesRestoreFromTheCheckpoint) {
