@@ -2,16 +2,31 @@
 // (DiffProv) next to classic single-tree provenance queries (the Y!
 // baseline), for all eight scenarios.
 //
-// Shapes to check (section 6.6):
-//  * query time is dominated by replay, not by DiffProv's reasoning;
-//  * a DiffProv query costs roughly 2x a Y! query on the SDN scenarios: one
-//    replay yields both trees (the paper batches its good- and bad-tree
-//    replays), and DiffProv replays once more per round to update the bad
-//    tree, so SDN4 (two rounds) costs about 3x;
-//  * the MR queries also replay the separate reference job.
+// Both columns replay as the program does: each replay stops at its query's
+// horizon (the Y! query at the bad event, DiffProv's initial replay at the
+// later of its two events), and DiffProv's UpdateTree replays fork from the
+// fork points that initial replay took (LogReplayProvider).
 //
 // The SDN scenarios replay a synthetic OC-192-style capture alongside the
-// scenario traffic so that replay genuinely dominates, as in the paper.
+// scenario traffic so that replay genuinely dominates, as in the paper, in
+// two placements:
+//  * after: every background packet after the diagnosed ones (t >= 5000),
+//    the original layout. A replay that stops at its horizon never reaches
+//    it, so each costs a scenario-sized run plus scheduling the whole log,
+//    too few events to take a fork point;
+//  * straddling: the background on both sides of the diagnosed packets
+//    (t=1000..1100), placed as perfbench's cold inputs place it -- half in
+//    a dense burst over t=200..950, half from t=1300 one packet every 100
+//    ticks. Every replay runs through the first half.
+//
+// Shapes to check (section 6.6):
+//  * query time is dominated by replay, not by DiffProv's reasoning;
+//  * with the straddling placement a DiffProv query on SDN1-3 costs at most
+//    ~2x a Y! query (the paper's figure): one replay yields both trees, and
+//    the UpdateTree round forks from a point shortly before its Δ instead
+//    of replaying from t=0. SDN4's first round never finds its expected
+//    root, so that fork runs the log to its end;
+//  * the MR queries also replay the separate reference job.
 #include "bench_util.h"
 #include "diffprov/diffprov.h"
 #include "mapred/scenario.h"
@@ -28,37 +43,64 @@ struct Row {
   double update_ms = 0;      // DiffProv's UpdateTree replays
   double reasoning_ms = 0;   // DiffProv reasoning ("Other" in the figure)
   int replays = 0;           // every replay in the DiffProv turnaround
+  int forked = 0;            // UpdateTree replays forked from a fork point
 };
 
-Row run_sdn(sdn::Scenario s, std::size_t background_packets) {
-  // Attach background traffic (the CAIDA stand-in) to the recorded log.
-  sdn::TraceConfig trace;
-  trace.rate_mbps = 100.0;
-  trace.duration_s = 10.0;
-  trace.max_packets = background_packets;
-  trace.start_time = 5000;
-  EventLog background;
-  sdn::generate_trace(trace, background);
-  for (const LogRecord& r : background.records()) s.log.append(r);
+enum class Background { kAfter, kStraddling };
 
+/// Attaches `packets` background packets (the CAIDA stand-in) to the log.
+void add_background(EventLog& log, std::size_t packets, Background where) {
+  if (where == Background::kAfter) {
+    sdn::TraceConfig trace;
+    trace.rate_mbps = 100.0;
+    trace.duration_s = 10.0;
+    trace.max_packets = packets;
+    trace.start_time = 5000;
+    sdn::generate_trace(trace, log);
+    return;
+  }
+  // One logical tick is a microsecond of the capture, so a gap of g ticks
+  // between packets of b bytes is a rate of 8 b / g Mbps.
+  sdn::TraceConfig before;
+  before.max_packets = packets / 2;
+  before.duration_s = 1e6;
+  before.start_time = 200;
+  before.rate_mbps = 8.0 * static_cast<double>(before.packet_bytes) /
+                     (750.0 / static_cast<double>(before.max_packets));
+  sdn::generate_trace(before, log);
+  sdn::TraceConfig after;
+  after.seed = before.seed + 1;
+  after.max_packets = packets - before.max_packets;
+  after.duration_s = 1e6;
+  after.start_time = 1300;
+  after.first_packet_id =
+      before.first_packet_id + static_cast<int>(before.max_packets);
+  after.rate_mbps = 8.0 * static_cast<double>(after.packet_bytes) / 100.0;
+  sdn::generate_trace(after, log);
+}
+
+Row run_sdn(sdn::Scenario s, std::size_t background_packets,
+            Background where) {
+  add_background(s.log, background_packets, where);
   Row row;
   row.name = s.name;
 
-  // Y! baseline: one replay + tree projection of the bad event.
+  // Y! baseline: one replay, up to the bad event, + its tree projection.
   {
     bench::WallTimer timer;
     LogReplayProvider provider(s.program, s.topology, s.log);
-    const BadRun run = provider.replay_bad({});
+    const BadRun run = provider.replay_bad_to({}, {s.bad_event});
     const auto tree = locate_tree(*run.graph, s.bad_event);
     row.ybang_ms = timer.millis();
     if (!tree) row.name += " (!)";
   }
 
-  // DiffProv: one replay yields both trees, and diagnose starts from it.
+  // DiffProv: one replay, up to both events, yields both trees; diagnose
+  // starts from it and forks its UpdateTree replays from its points.
   {
     bench::WallTimer timer;
     LogReplayProvider provider(s.program, s.topology, s.log);
-    BadRun run = provider.replay_bad({});
+    BadRun run = provider.replay_bad_to({}, {s.good_event, s.bad_event});
     const auto good = locate_tree(*run.graph, s.good_event);
     DiffProv diffprov(s.program, provider);
     const DiffProvResult result =
@@ -67,6 +109,7 @@ Row run_sdn(sdn::Scenario s, std::size_t background_packets) {
     row.update_ms = result.timing.replay_us / 1e3;
     row.reasoning_ms = result.timing.reasoning_us() / 1e3;
     row.replays = result.timing.replays + 1;  // + the shared initial replay
+    row.forked = result.timing.forked_replays;
     if (!result.ok()) row.name += " (failed)";
   }
   return row;
@@ -76,16 +119,16 @@ Row run_mr(const mapred::Scenario& s) {
   Row row;
   row.name = s.name;
   {
-    // Y! baseline on the bad job only.
+    // Y! baseline on the bad job only, up to the bad event.
     bench::WallTimer timer;
     if (s.declarative) {
       const EventLog log = mapred::declarative_job_log(s.store, s.bad_config);
       LogReplayProvider provider(s.model, Topology{}, log);
-      const BadRun run = provider.replay_bad({});
+      const BadRun run = provider.replay_bad_to({}, {s.bad_event});
       (void)locate_tree(*run.graph, s.bad_event);
     } else {
       mapred::WordCountReplayProvider provider(s.store, s.bad_config);
-      const BadRun run = provider.replay_bad({});
+      const BadRun run = provider.replay_bad_to({}, {s.bad_event});
       (void)locate_tree(*run.graph, s.bad_event);
     }
     row.ybang_ms = timer.millis();
@@ -98,9 +141,27 @@ Row run_mr(const mapred::Scenario& s) {
     row.reasoning_ms = d.result.timing.reasoning_us() / 1e3;
     // + the reference-job and bad-job replays mapred::diagnose runs first.
     row.replays = d.result.timing.replays + 2;
+    row.forked = d.result.timing.forked_replays;
     if (!d.result.ok()) row.name += " (failed)";
   }
   return row;
+}
+
+void print_rows(const std::vector<Row>& rows) {
+  bench::print_row({"Query", "Y! (ms)", "DiffProv (ms)", "UpdateTree (ms)",
+                    "reasoning", "replays", "forked", "DiffProv/Y!"},
+                   10, 16);
+  bench::print_row({"-----", "-------", "-------------", "---------------",
+                    "---------", "-------", "------", "-----------"},
+                   10, 16);
+  for (const Row& row : rows) {
+    bench::print_row({row.name, bench::fmt(row.ybang_ms),
+                      bench::fmt(row.diffprov_ms), bench::fmt(row.update_ms),
+                      bench::fmt(row.reasoning_ms, 2) + " ms",
+                      std::to_string(row.replays), std::to_string(row.forked),
+                      bench::fmt(row.diffprov_ms / row.ybang_ms, 2) + "x"},
+                     10, 16);
+  }
 }
 
 }  // namespace
@@ -114,7 +175,7 @@ int main() {
 
   std::vector<Row> rows;
   for (const sdn::Scenario& s : sdn::all_scenarios()) {
-    rows.push_back(run_sdn(s, 20'000));
+    rows.push_back(run_sdn(s, 20'000, Background::kAfter));
   }
   mapred::CorpusConfig corpus;
   corpus.files = 8;
@@ -122,25 +183,26 @@ int main() {
   for (const mapred::Scenario& s : mapred::all_scenarios(corpus)) {
     rows.push_back(run_mr(s));
   }
+  std::printf("SDN background after the diagnosed packets (t >= 5000):\n");
+  print_rows(rows);
 
-  bench::print_row({"Query", "Y! (ms)", "DiffProv (ms)", "UpdateTree (ms)",
-                    "reasoning", "replays", "DiffProv/Y!"},
-                   10, 16);
-  bench::print_row({"-----", "-------", "-------------", "---------------",
-                    "---------", "-------", "-----------"},
-                   10, 16);
-  for (const Row& row : rows) {
-    bench::print_row({row.name, bench::fmt(row.ybang_ms),
-                      bench::fmt(row.diffprov_ms), bench::fmt(row.update_ms),
-                      bench::fmt(row.reasoning_ms, 2) + " ms",
-                      std::to_string(row.replays),
-                      bench::fmt(row.diffprov_ms / row.ybang_ms, 2) + "x"},
-                     10, 16);
+  std::vector<Row> straddling;
+  for (const sdn::Scenario& s : sdn::all_scenarios()) {
+    straddling.push_back(run_sdn(s, 20'000, Background::kStraddling));
   }
   std::printf(
+      "\nSDN background straddling the diagnosed packets (perfbench's "
+      "placement):\n");
+  print_rows(straddling);
+
+  std::printf(
       "\nShape check: replay dominates (reasoning is ms-scale). One replay\n"
-      "yields both trees, so a one-round DiffProv query costs ~2x a Y!\n"
-      "query (the extra UpdateTree replay); SDN4 pays one more round; the\n"
-      "MR queries also replay the separate reference job.\n");
+      "yields both trees and each UpdateTree round forks from a point\n"
+      "shortly before its change, so with the background straddling the\n"
+      "diagnosed packets a one-round SDN query costs at most ~2x a Y! query.\n"
+      "With it all after them, no replay reaches it and each pays only for\n"
+      "scheduling the log, twice for DiffProv. SDN4's first round runs its\n"
+      "fork to the end of the log. The MR queries also replay the separate\n"
+      "reference job.\n");
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "diffprov/diffprov.h"
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 
@@ -196,6 +197,96 @@ std::optional<ProvTree> locate_tree(const ProvenanceGraph& graph,
   const auto exist = graph.first_exist(event);
   if (!exist) return std::nullopt;
   return ProvTree::project(graph, *exist);
+}
+
+// ---------------------------------------------------------------------------
+// LogReplayProvider
+
+namespace {
+
+BadRun bad_run_of(std::shared_ptr<Engine> engine,
+                  std::shared_ptr<ProvenanceRecorder> recorder) {
+  BadRun run;
+  run.events_processed = engine->stats().events_processed;
+  run.graph =
+      std::shared_ptr<const ProvenanceGraph>(recorder, &recorder->graph());
+  run.state = std::make_shared<EngineStateView>(std::move(engine));
+  return run;
+}
+
+}  // namespace
+
+BadRun LogReplayProvider::replay_bad_to(const Delta& delta,
+                                        const std::vector<Tuple>& horizon) {
+  const bool first = !replayed_;
+  replayed_ = true;
+  if (const ForkPoint* point = fork_point_for(delta, horizon)) {
+    return fork_from(*point, delta, horizon);
+  }
+  // Only a first replay that is Δ-free and bounded takes points. A full one
+  // would keep points far past any Δ, and a filtered recorder could miss
+  // the horizon tuples a point's validity is read from.
+  double capture_us = 0;
+  ReplayPauses pauses;
+  if (first && delta.empty() && !horizon.empty() && cadence_.keep != 0 &&
+      !options_.provenance_filter) {
+    pauses.every = cadence_.every;
+    pauses.at = [this, &capture_us](const Engine& engine,
+                                    const ProvenanceRecorder& recorder) {
+      const auto start = Clock::now();
+      if (points_.size() == cadence_.keep) points_.erase(points_.begin());
+      auto copy = std::make_shared<ProvenanceRecorder>(recorder);
+      copy->graph().mark_published();
+      points_.push_back({engine.fork(), std::move(copy)});
+      capture_us += elapsed_us(start);
+    };
+  }
+  ReplayResult result =
+      replay(*program_, topology_, log_, delta, options_, horizon, pauses);
+  BadRun run =
+      bad_run_of(std::move(result.engine), std::move(result.recorder));
+  run.fork_copy_us = capture_us;
+  return run;
+}
+
+const LogReplayProvider::ForkPoint* LogReplayProvider::fork_point_for(
+    const Delta& delta, const std::vector<Tuple>& horizon) const {
+  LogicalTime first_op = kTimeInfinity;
+  for (const DeltaOp& op : delta) first_op = std::min(first_op, op.at);
+  // A replay from t=0 stops once its horizon has appeared, possibly before
+  // Δ applies; a point past that appearance would wait for it again.
+  for (auto it = points_.rbegin(); it != points_.rend(); ++it) {
+    if (it->engine->now() >= first_op) continue;
+    const ProvenanceGraph& graph = it->recorder->graph();
+    if (std::all_of(horizon.begin(), horizon.end(), [&graph](const Tuple& t) {
+          return graph.exists_of(t).empty();
+        })) {
+      return &*it;
+    }
+  }
+  return nullptr;
+}
+
+BadRun LogReplayProvider::fork_from(const ForkPoint& point,
+                                    const Delta& delta,
+                                    const std::vector<Tuple>& horizon) const {
+  DP_SPAN_CAT("dp.replay.fork", "replay");
+  obs::default_registry().counter("dp.replay.replays").inc();
+  const auto start = Clock::now();
+  std::shared_ptr<Engine> engine = point.engine->fork();
+  auto recorder = std::make_shared<ProvenanceRecorder>(*point.recorder);
+  const double copy_us = elapsed_us(start);
+  engine->add_observer(recorder.get());
+  // The point's queue holds every log record, so Δ's ops take the external
+  // seqs that follow the log's, as they do in replay().
+  schedule_delta(*engine, delta);
+  engine->run(horizon);
+  publish_graph(recorder->graph(), options_);
+  BadRun run = bad_run_of(std::move(engine), std::move(recorder));
+  run.events_processed -= point.engine->stats().events_processed;
+  run.forked = true;
+  run.fork_copy_us = copy_us;
+  return run;
 }
 
 // ---------------------------------------------------------------------------
@@ -801,9 +892,7 @@ DiffProvResult DiffProv::diagnose(const ProvTree& good_tree,
     obs::Span replay_span(obs::default_tracer(), "dp.diffprov.replay",
                           "diffprov");
     bad_run = provider_->replay_bad_to({}, {bad_event});
-    result.timing.replay_us += elapsed_us(replay_start);
-    ++result.timing.replays;
-    result.timing.replayed_events += bad_run.events_processed;
+    result.timing.add_replay(bad_run, elapsed_us(replay_start));
   }
 
   auto bad_tree_opt = locate_tree(*bad_run.graph, bad_event);
@@ -1045,9 +1134,7 @@ DiffProvResult DiffProv::diagnose(const ProvTree& good_tree,
                             "diffprov");
       bad_run = provider_->replay_bad_to(delta, horizon);
     }
-    result.timing.replay_us += elapsed_us(replay_start);
-    ++result.timing.replays;
-    result.timing.replayed_events += bad_run.events_processed;
+    result.timing.add_replay(bad_run, elapsed_us(replay_start));
 
     // Re-root the bad tree: prefer the tuple equivalent to the good root;
     // otherwise follow the trigger chain up from the (preserved) seed.

@@ -69,6 +69,9 @@ class EngineStateView final : public StateView {
     const Table* t = engine_->find_table(node, table);
     if (t != nullptr) t->for_each_at(at, fn);
   }
+  /// The engine behind the view, e.g. to compare a forked run's tables and
+  /// counts with a replay from t=0.
+  [[nodiscard]] const Engine& engine() const { return *engine_; }
 
  private:
   std::shared_ptr<const Engine> engine_;
@@ -79,8 +82,15 @@ struct BadRun {
   std::shared_ptr<const ProvenanceGraph> graph;
   std::shared_ptr<const StateView> state;
   /// Engine events this execution processed (0 when it was not replayed
-  /// through the NDlog engine here).
+  /// through the NDlog engine here). A forked execution counts only the
+  /// events it ran past its fork point.
   std::uint64_t events_processed = 0;
+  /// Forked from a fork point (LogReplayProvider) instead of replayed from
+  /// t=0.
+  bool forked = false;
+  /// Wall time this execution spent copying state: taking fork points, or
+  /// copying the point it forked from.
+  double fork_copy_us = 0;
 };
 
 /// Abstracts "re-execute the bad run with these changes". The declarative
@@ -103,39 +113,74 @@ class ReplayProvider {
   }
 };
 
+/// Engine events between two fork points of a LogReplayProvider's first
+/// replay, and how many of the latest points it keeps. DESIGN.md section 5
+/// sizes both against measured copy and replay costs.
+inline constexpr std::uint64_t kForkPointEvents = 8192;
+inline constexpr std::size_t kForkPointsKept = 2;
+
+/// How often a LogReplayProvider's first replay takes fork points, and how
+/// many it keeps. Tests force small cadences on small inputs; the pipelines
+/// keep the default.
+struct ForkCadence {
+  std::uint64_t every = kForkPointEvents;
+  std::size_t keep = kForkPointsKept;
+};
+
 /// Replays a recorded NDlog execution (the common case).
+///
+/// Its first replay, when Δ-free and bounded by a horizon (a cold
+/// diagnosis's initial replay), takes fork points: at a time-step boundary
+/// once every `every` engine events it copies the engine (Engine::fork) and
+/// the recorder, and keeps the latest `keep` copies. Every later replay
+/// copies the latest point that lies before Δ's earliest operation and at
+/// which no tuple of its horizon has appeared yet, schedules Δ there and
+/// runs to the horizon: paper section 4.8's clone "shortly before" Δ is
+/// needed. That run is event for event the tail of the replay from t=0 it
+/// replaces; with no such point, the replay runs from t=0.
 class LogReplayProvider final : public ReplayProvider {
  public:
+  /// The first replay's state at a time-step boundary. Never run and never
+  /// changed: each fork copies it.
+  struct ForkPoint {
+    std::shared_ptr<const Engine> engine;
+    std::shared_ptr<const ProvenanceRecorder> recorder;
+  };
   LogReplayProvider(const Program& program, Topology topology, EventLog log,
-                    ReplayOptions options = {})
+                    ReplayOptions options = {}, ForkCadence cadence = {})
       : program_(&program),
         topology_(std::move(topology)),
         log_(std::move(log)),
-        options_(std::move(options)) {}
+        options_(std::move(options)),
+        cadence_(cadence) {}
 
   BadRun replay_bad(const Delta& delta) override {
     return replay_bad_to(delta, {});
   }
 
   BadRun replay_bad_to(const Delta& delta,
-                       const std::vector<Tuple>& horizon) override {
-    ReplayResult result =
-        replay(*program_, topology_, log_, delta, options_, horizon);
-    BadRun run;
-    run.events_processed = result.engine->stats().events_processed;
-    std::shared_ptr<Engine> engine = std::move(result.engine);
-    std::shared_ptr<ProvenanceRecorder> recorder = std::move(result.recorder);
-    run.graph = std::shared_ptr<const ProvenanceGraph>(recorder,
-                                                       &recorder->graph());
-    run.state = std::make_shared<EngineStateView>(engine);
-    return run;
+                       const std::vector<Tuple>& horizon) override;
+
+  /// The fork points held, oldest first.
+  [[nodiscard]] const std::vector<ForkPoint>& fork_points() const {
+    return points_;
   }
 
  private:
+  /// The latest point a replay of `delta` up to `horizon` may fork, or null.
+  [[nodiscard]] const ForkPoint* fork_point_for(
+      const Delta& delta, const std::vector<Tuple>& horizon) const;
+  /// Copies `point`, schedules `delta` on the copy and runs it.
+  BadRun fork_from(const ForkPoint& point, const Delta& delta,
+                   const std::vector<Tuple>& horizon) const;
+
   const Program* program_;
   Topology topology_;
   EventLog log_;
   ReplayOptions options_;
+  ForkCadence cadence_;
+  bool replayed_ = false;
+  std::vector<ForkPoint> points_;
 };
 
 enum class DiffProvStatus : std::uint8_t {
@@ -173,9 +218,19 @@ struct DiffProvTiming {
   double replay_us = 0;       // UpdateTree replays (not reasoning)
   int replays = 0;
   std::uint64_t replayed_events = 0;  // engine events of those replays
+  int forked_replays = 0;             // those forked from a fork point
+  double fork_copy_us = 0;            // their state copies (in replay_us)
 
   [[nodiscard]] double reasoning_us() const {
     return find_seed_us + annotate_us + divergence_us + make_appear_us;
+  }
+  /// Books one replay that produced `run` in `us`.
+  void add_replay(const BadRun& run, double us) {
+    replay_us += us;
+    ++replays;
+    replayed_events += run.events_processed;
+    forked_replays += run.forked ? 1 : 0;
+    fork_copy_us += run.fork_copy_us;
   }
 };
 

@@ -137,36 +137,42 @@ std::vector<Scenario> all_scenarios(CorpusConfig corpus) {
 }
 
 Diagnosis diagnose(const Scenario& scenario, const DiffProvConfig& config) {
-  // The reference tree comes from a separate, correct job execution.
-  std::unique_ptr<ReplayProvider> good_provider;
-  std::unique_ptr<ReplayProvider> bad_provider;
-  EventLog good_log;
-  EventLog bad_log;
-  Topology topology;
+  // The reference tree comes from a separate, correct job execution, run
+  // until its event has happened. Only the tree outlives the lookup: the
+  // job's engine and graph are freed before the bad job replays. The job is
+  // replayed outside a LogReplayProvider, so it takes no fork points: it is
+  // never replayed again.
+  std::optional<ProvTree> good_tree;
   if (scenario.declarative) {
-    good_log = declarative_job_log(scenario.store, scenario.good_config);
-    bad_log = declarative_job_log(scenario.store, scenario.bad_config);
-    good_provider = std::make_unique<LogReplayProvider>(
-        scenario.model, topology, good_log);
-    bad_provider = std::make_unique<LogReplayProvider>(scenario.model,
-                                                       topology, bad_log);
+    const ReplayResult good_run = replay(
+        scenario.model, Topology{},
+        declarative_job_log(scenario.store, scenario.good_config), {}, {},
+        {scenario.good_event});
+    good_tree = locate_tree(good_run.graph(), scenario.good_event);
   } else {
-    good_provider = std::make_unique<WordCountReplayProvider>(
-        scenario.store, scenario.good_config);
-    bad_provider = std::make_unique<WordCountReplayProvider>(
-        scenario.store, scenario.bad_config);
+    const BadRun good_run =
+        WordCountReplayProvider(scenario.store, scenario.good_config)
+            .replay_bad_to({}, {scenario.good_event});
+    good_tree = locate_tree(*good_run.graph, scenario.good_event);
   }
-
-  // Each job runs until the event located in it has happened.
-  const BadRun good_run =
-      good_provider->replay_bad_to({}, {scenario.good_event});
-  auto good_tree = locate_tree(*good_run.graph, scenario.good_event);
   if (!good_tree) {
     throw ProgramError(scenario.name + ": reference event " +
                        scenario.good_event.to_string() +
                        " not found in the good job");
   }
-  const BadRun bad_run = bad_provider->replay_bad_to({}, {scenario.bad_event});
+
+  std::unique_ptr<ReplayProvider> bad_provider;
+  if (scenario.declarative) {
+    bad_provider = std::make_unique<LogReplayProvider>(
+        scenario.model, Topology{},
+        declarative_job_log(scenario.store, scenario.bad_config));
+  } else {
+    bad_provider = std::make_unique<WordCountReplayProvider>(
+        scenario.store, scenario.bad_config);
+  }
+  // The bad job runs until its event has happened; a declarative one takes
+  // the fork points its UpdateTree replays start from.
+  BadRun bad_run = bad_provider->replay_bad_to({}, {scenario.bad_event});
   auto bad_tree = locate_tree(*bad_run.graph, scenario.bad_event);
   if (!bad_tree) {
     throw ProgramError(scenario.name + ": event of interest " +
@@ -176,7 +182,7 @@ Diagnosis diagnose(const Scenario& scenario, const DiffProvConfig& config) {
 
   DiffProv diffprov(scenario.model, *bad_provider, config);
   DiffProvResult result =
-      diffprov.diagnose(*good_tree, scenario.bad_event, bad_run);
+      diffprov.diagnose(*good_tree, scenario.bad_event, std::move(bad_run));
   return Diagnosis{std::move(*good_tree), std::move(*bad_tree),
                    std::move(result)};
 }

@@ -89,7 +89,7 @@ void return_record(ThreadRecord* r) {
   // dead thread's frames to the next leaseholder; the ring stays intact.
   const std::uint32_t seq = r->stack_seq.load(std::memory_order_relaxed);
   r->stack_seq.store(seq + 1, std::memory_order_relaxed);
-  r->depth.store(0, std::memory_order_relaxed);
+  r->depth.store(0, std::memory_order_release);
   r->stack_seq.store(seq + 2, std::memory_order_release);
   State& st = state();
   std::lock_guard lock(st.pool_mutex);
@@ -127,13 +127,13 @@ bool read_stack(const ThreadRecord& r, std::string& out, std::uint32_t& tid) {
     const std::uint32_t seq_before =
         r.stack_seq.load(std::memory_order_acquire);
     if ((seq_before & 1u) != 0) continue;
-    std::uint32_t depth = r.depth.load(std::memory_order_relaxed);
+    std::uint32_t depth = r.depth.load(std::memory_order_acquire);
     if (depth > Recorder::kMaxDepth) depth = Recorder::kMaxDepth;
     char names[Recorder::kMaxDepth][Recorder::kNameCap];
     std::uint32_t lens[Recorder::kMaxDepth];
     for (std::uint32_t d = 0; d < depth; ++d) {
-      const char* ptr = r.frames[d].name.load(std::memory_order_relaxed);
-      const std::uint32_t len = r.frames[d].len.load(std::memory_order_relaxed);
+      const char* ptr = r.frames[d].name.load(std::memory_order_acquire);
+      const std::uint32_t len = r.frames[d].len.load(std::memory_order_acquire);
       lens[d] = std::min<std::uint32_t>(len, Recorder::kNameCap);
       // Dereferencing before the seq recheck is safe: frame names point at
       // immortal bytes (literals and interned labels), never freed storage.
@@ -143,8 +143,7 @@ bool read_stack(const ThreadRecord& r, std::string& out, std::uint32_t& tid) {
         lens[d] = 0;
       }
     }
-    const std::uint32_t tid_read = r.tid.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    const std::uint32_t tid_read = r.tid.load(std::memory_order_acquire);
     if (r.stack_seq.load(std::memory_order_relaxed) != seq_before) continue;
     if (depth == 0) return false;
     out.clear();
@@ -246,19 +245,19 @@ void recorder_detail::write(Recorder::Event::Kind kind, std::uint8_t level,
   Slot& slot = r.slots[head & (Recorder::kRingSize - 1)];
   const std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_relaxed);  // odd: in progress
-  slot.time_us.store(coarse_now_us(), std::memory_order_relaxed);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
+  slot.time_us.store(coarse_now_us(), std::memory_order_release);
+  slot.trace_id.store(trace_id, std::memory_order_release);
   const std::size_t name_len = std::min(name.size(), Recorder::kNameCap);
   const std::uint32_t dur = duration_us > 0xFFFFFFFFu
                                 ? 0xFFFFFFFFu
                                 : static_cast<std::uint32_t>(duration_us);
   slot.meta.store(pack_meta(kind, level, dur, name_len),
-                  std::memory_order_relaxed);
+                  std::memory_order_release);
   for (std::size_t w = 0; w * 8 < name_len; ++w) {
     std::uint64_t word = 0;
     const std::size_t n = std::min<std::size_t>(8, name_len - w * 8);
     std::memcpy(&word, name.data() + w * 8, n);
-    slot.name[w].store(word, std::memory_order_relaxed);
+    slot.name[w].store(word, std::memory_order_release);
   }
   slot.seq.store(seq + 2, std::memory_order_release);  // even: published
   r.head.store(head + 1, std::memory_order_relaxed);
@@ -298,16 +297,15 @@ std::vector<Recorder::Event> Recorder::snapshot() const {
       const std::uint32_t seq_before = slot.seq.load(std::memory_order_acquire);
       if (seq_before == 0 || (seq_before & 1u) != 0) continue;  // empty/busy
       Event event;
-      event.time_us = slot.time_us.load(std::memory_order_relaxed);
-      event.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-      const std::uint64_t meta = slot.meta.load(std::memory_order_relaxed);
+      event.time_us = slot.time_us.load(std::memory_order_acquire);
+      event.trace_id = slot.trace_id.load(std::memory_order_acquire);
+      const std::uint64_t meta = slot.meta.load(std::memory_order_acquire);
       std::uint64_t words[kNameWords];
       for (std::size_t w = 0; w < kNameWords; ++w) {
-        words[w] = slot.name[w].load(std::memory_order_relaxed);
+        words[w] = slot.name[w].load(std::memory_order_acquire);
       }
       // Re-check: if a writer lapped us mid-read the fields above may mix
       // two events -- drop the slot rather than report a chimera.
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq_before) continue;
       event.duration_us = static_cast<std::uint32_t>(meta & 0xFFFFFFFFu);
       event.kind = static_cast<Event::Kind>((meta >> 32) & 0xFF);

@@ -16,10 +16,13 @@
 //      by the service watchdog and, as a fallback, every 64 records per
 //      thread).
 //   2. Readers never block writers. The stack and every ring slot are small
-//      seqlocks: the writer bumps the sequence to odd, stores the payload,
-//      then publishes an even sequence with release order; readers retry or
-//      skip whatever changed underneath them. Every shared field is a relaxed
-//      atomic, so the scheme is TSan-clean.
+//      seqlocks: the writer bumps the sequence to odd, stores the payload
+//      with release order, then publishes an even sequence with release
+//      order; readers load the sequence and the payload with acquire order,
+//      recheck the sequence, and retry or skip whatever changed underneath
+//      them. A payload read from a newer write therefore makes the recheck
+//      see that write's odd sequence, on any memory model and without a
+//      fence, which TSan cannot model. Both orders are plain moves on x86.
 //   3. Threads come and go (the daemon runs a thread per connection), so
 //      records are pooled: a thread leases one on first use and its exit
 //      returns it with the stack emptied and the ring intact, so a dead
@@ -209,10 +212,10 @@ inline ThreadRecord* open_span(std::string_view name) {
   if (d < Recorder::kMaxDepth) {
     const std::uint32_t seq = r->stack_seq.load(std::memory_order_relaxed);
     r->stack_seq.store(seq + 1, std::memory_order_relaxed);
-    r->frames[d].name.store(name.data(), std::memory_order_relaxed);
+    r->frames[d].name.store(name.data(), std::memory_order_release);
     r->frames[d].len.store(static_cast<std::uint32_t>(name.size()),
-                           std::memory_order_relaxed);
-    r->depth.store(d + 1, std::memory_order_relaxed);
+                           std::memory_order_release);
+    r->depth.store(d + 1, std::memory_order_release);
     r->stack_seq.store(seq + 2, std::memory_order_release);
   } else {
     r->depth.store(d + 1, std::memory_order_relaxed);  // counted, not named

@@ -204,6 +204,10 @@ class ProvenanceGraph {
   /// dp.prov.graph_vertices high-water gauge. Safe to call repeatedly; only
   /// growth since the last publish reaches the registry.
   void publish_metrics(obs::MetricsRegistry& registry);
+  /// Counts everything recorded so far as published, so publish_metrics
+  /// reports only later growth: a forked replay's copy of a graph prefix
+  /// publishes only the vertices the fork records.
+  void mark_published() { published_ = counters_; }
 
  private:
   VertexId add_vertex(VertexKind kind, TupleRef tuple, NameRef rule,

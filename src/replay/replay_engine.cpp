@@ -20,7 +20,8 @@ std::string delta_to_string(const Delta& delta) {
 ReplayResult replay(const Program& program, const Topology& topology,
                     const EventLog& log, const Delta& delta,
                     const ReplayOptions& options,
-                    const std::vector<Tuple>& horizon) {
+                    const std::vector<Tuple>& horizon,
+                    const ReplayPauses& pauses) {
   DP_SPAN_CAT("dp.replay.replay", "replay");
   obs::default_registry().counter("dp.replay.replays").inc();
   ReplayResult result;
@@ -37,22 +38,34 @@ ReplayResult replay(const Program& program, const Topology& topology,
   for (const LogRecord& record : log.records()) {
     schedule_record(*result.engine, record);
   }
+  schedule_delta(*result.engine, delta);
+
+  RunPauses engine_pauses;
+  if (pauses.every != 0) {
+    engine_pauses.every = pauses.every;
+    engine_pauses.at = [&result, &pauses] {
+      pauses.at(*result.engine, *result.recorder);
+    };
+  }
+  result.engine->run(horizon, engine_pauses);
+  publish_graph(result.recorder->graph(), options);
+  return result;
+}
+
+void schedule_delta(Engine& engine, const Delta& delta) {
   for (const DeltaOp& op : delta) {
     if (op.kind == DeltaOp::Kind::kInsert) {
-      result.engine->schedule_insert(op.tuple, op.at);
+      engine.schedule_insert(op.tuple, op.at);
     } else {
-      result.engine->schedule_delete(op.tuple, op.at);
+      engine.schedule_delete(op.tuple, op.at);
     }
   }
+}
 
-  result.engine->run(horizon);
-  // The recorder's graph publishes alongside the engine: into the shared
-  // registry when the caller wired one up, else the process-wide one.
-  obs::MetricsRegistry& registry = options.engine_config.metrics != nullptr
-                                       ? *options.engine_config.metrics
-                                       : obs::default_registry();
-  result.recorder->graph().publish_metrics(registry);
-  return result;
+void publish_graph(ProvenanceGraph& graph, const ReplayOptions& options) {
+  graph.publish_metrics(options.engine_config.metrics != nullptr
+                            ? *options.engine_config.metrics
+                            : obs::default_registry());
 }
 
 std::unique_ptr<Engine> restore_from_checkpoint(const Program& program,

@@ -69,6 +69,13 @@ struct ReplayOptions {
   EngineConfig engine_config;
 };
 
+/// Where a replay pauses (RunPauses) to hand `at` its engine and
+/// recorder as they stand: at time-step boundaries, every `every` events.
+struct ReplayPauses {
+  std::uint64_t every = 0;  // 0: never pause
+  std::function<void(const Engine&, const ProvenanceRecorder&)> at;
+};
+
 /// Replays `log` (merged with `delta`) over a fresh engine and returns the
 /// engine plus the reconstructed provenance. `horizon` names the tuples the
 /// caller will locate: the run stops once each has appeared and the events
@@ -76,7 +83,16 @@ struct ReplayOptions {
 ReplayResult replay(const Program& program, const Topology& topology,
                     const EventLog& log, const Delta& delta = {},
                     const ReplayOptions& options = {},
-                    const std::vector<Tuple>& horizon = {});
+                    const std::vector<Tuple>& horizon = {},
+                    const ReplayPauses& pauses = {});
+
+/// Schedules Δ's operations into `engine`, in delta order (after the log's
+/// records, so their external seqs follow the log's).
+void schedule_delta(Engine& engine, const Delta& delta);
+
+/// Publishes a finished replay's graph alongside its engine: into the
+/// shared registry when the options wired one up, else the process-wide one.
+void publish_graph(ProvenanceGraph& graph, const ReplayOptions& options);
 
 /// Restores a fresh engine from `checkpoint` plus the records of `log` after
 /// its capture time (earlier ones are inside the checkpoint), run to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <numeric>
 
 #include "util/logging.h"
@@ -46,11 +47,7 @@ Engine::Engine(Program program, EngineConfig config)
   }
   if (config_.use_join_plans) plans_ = compile_rule_plans(program_);
 
-  metrics_ = config_.metrics;
-  if (metrics_ == nullptr) {
-    own_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = own_metrics_.get();
-  }
+  attach_registry();
   const auto& rules = program_.rules();
   rule_firings_.assign(rules.size(), 0);
   rule_firings_published_.assign(rules.size(), 0);
@@ -82,6 +79,54 @@ Engine::Engine(Program program, EngineConfig config)
   }
   table_counts_.assign(table_metric_names_.size(), 0);
   table_counts_published_.assign(table_metric_names_.size(), 0);
+}
+
+// The *_published_ baselines start at the copied counts, so the fork's
+// registry sees only the events the fork processes itself.
+Engine::Engine(const Engine& other)
+    : program_(other.program_),
+      config_(other.config_),
+      rule_facts_(other.rule_facts_),
+      listeners_(other.listeners_),
+      plans_(other.plans_),
+      state_(other.state_),
+      links_(other.links_),
+      queue_(other.queue_),
+      events_(other.events_),
+      free_slots_(other.free_slots_),
+      next_seq_(other.next_seq_),
+      next_external_seq_(other.next_external_seq_),
+      now_(other.now_),
+      records_(other.records_),
+      records_by_body_(other.records_by_body_),
+      records_by_head_(other.records_by_head_),
+      support_(other.support_),
+      stats_(other.stats_),
+      published_(other.stats_),
+      rule_firings_(other.rule_firings_),
+      rule_firings_published_(other.rule_firings_),
+      table_counts_(other.table_counts_),
+      table_counts_published_(other.table_counts_),
+      table_metric_names_(other.table_metric_names_),
+      remote_by_node_(other.remote_by_node_),
+      remote_by_node_published_(other.remote_by_node_),
+      rule_span_labels_(other.rule_span_labels_),
+      rule_metric_names_(other.rule_metric_names_),
+      queue_depth_max_(other.queue_depth_max_) {
+  attach_registry();
+}
+
+std::unique_ptr<Engine> Engine::fork() const {
+  DP_SPAN_CAT("dp.runtime.fork", "runtime");
+  return std::unique_ptr<Engine>(new Engine(*this));
+}
+
+void Engine::attach_registry() {
+  metrics_ = config_.metrics;
+  if (metrics_ == nullptr) {
+    own_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics_ = own_metrics_.get();
+  }
   fire_sketch_ = &metrics_->sketch("dp.runtime.rule_fire_us");
 }
 
@@ -218,17 +263,26 @@ void Engine::schedule_delete(Tuple tuple, LogicalTime at) {
   push_external_event(std::move(event));
 }
 
-void Engine::run(const std::vector<Tuple>& horizon) {
+void Engine::run(const std::vector<Tuple>& horizon, const RunPauses& pauses) {
   DP_SPAN_CAT("dp.runtime.run", "runtime");
   awaited_.clear();
   for (const Tuple& tuple : horizon) {
     awaited_.push_back({tuple, global_store().find(tuple)});
   }
   const bool bounded = !horizon.empty();
+  // Without pauses this stays out of reach: one integer compare per event.
+  std::uint64_t next_pause = pauses.every == 0
+                                 ? std::numeric_limits<std::uint64_t>::max()
+                                 : stats_.events_processed + pauses.every;
   while (!queue_.empty()) {
     // Every named tuple has appeared (by now_) and the events at now_ are
     // drained: what follows is later than anything the query reads.
     if (bounded && awaited_.empty() && queue_.front().time > now_) break;
+    if (stats_.events_processed >= next_pause &&
+        queue_.front().time > now_) {
+      pauses.at();
+      next_pause = stats_.events_processed + pauses.every;
+    }
     process(pop_event());
   }
   awaited_.clear();

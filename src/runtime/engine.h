@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -81,12 +82,33 @@ struct EngineConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// Where Engine::run pauses to call `at`: at a time-step boundary (every
+/// event at now() has been processed and the next pending one is later), the
+/// first once `every` events have been processed since the run began and
+/// then once `every` more have since the last pause. `every` = 0 never
+/// pauses. The run resumes when `at` returns.
+struct RunPauses {
+  std::uint64_t every = 0;
+  std::function<void()> at;
+};
+
 class Engine {
  public:
   explicit Engine(Program program, EngineConfig config = {});
 
-  Engine(const Engine&) = delete;
+  // Copies go through fork(), which leaves the observers behind.
   Engine& operator=(const Engine&) = delete;
+
+  /// A copy of this engine's state without its observers: the tables with
+  /// their interval history, the support maps, the pending events and both
+  /// seq counters, the clock and the stats. Run, the fork processes exactly
+  /// the events this engine would have processed next, in the same order
+  /// and with the same seqs. The compiled plans are copied, not recompiled;
+  /// the tables rebuild their indexes and key order lazily. The fork
+  /// publishes into the same registry (a private one of its own if this
+  /// engine's is private), and only the events it processes itself. Call it
+  /// between runs or from a run's pause, never from an observer.
+  [[nodiscard]] std::unique_ptr<Engine> fork() const;
 
   /// Declares a bidirectional link with the given delay. Undeclared pairs
   /// fall back to kDefaultLinkDelay.
@@ -110,7 +132,7 @@ class Engine {
   /// (time, seq) order, so nothing processed after that point can change the
   /// state or the provenance at or before that time. A named tuple that
   /// never appears leaves the run going to quiescence.
-  void run(const std::vector<Tuple>& horizon = {});
+  void run(const std::vector<Tuple>& horizon = {}, const RunPauses& pauses = {});
 
   /// Processes events with time <= `until`.
   void run_until(LogicalTime until);
@@ -176,6 +198,10 @@ class Engine {
   }
 
  private:
+  /// fork()'s copy: the state without observers, the awaited horizon or
+  /// scratch buffers, and a registry link that publishes nothing copied.
+  Engine(const Engine& other);
+
   struct Event {
     LogicalTime time = 0;
     enum class Kind : std::uint8_t {
@@ -295,6 +321,8 @@ class Engine {
   /// already seen (delta-publish, so a shared registry aggregates correctly
   /// across engines and repeated runs).
   void publish_metrics();
+  /// Points metrics_ at config_.metrics, or at a new private registry.
+  void attach_registry();
 
   Program program_;
   EngineConfig config_;

@@ -44,6 +44,7 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
     run = provider.replay_bad_to({}, horizon);
     outcome.profile.initial_replay_us = micros_since(replay_start);
     outcome.profile.replayed_events = run.events_processed;
+    outcome.profile.fork_copy_us = run.fork_copy_us;
   }
 
   const auto locate_start = std::chrono::steady_clock::now();
@@ -77,7 +78,7 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
                      std::to_string(good_tree->size()) + " vertexes):\n" +
                      good_tree->to_text() + "\n";
     }
-    result = diffprov.diagnose(*good_tree, spec.bad_event, run);
+    result = diffprov.diagnose(*good_tree, spec.bad_event, std::move(run));
     outcome.profile.timing = result.timing;
     if (spec.minimize && result.ok()) {
       const auto minimize_start = std::chrono::steady_clock::now();
@@ -104,6 +105,8 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
   }
 
   outcome.profile.replayed_events += outcome.profile.timing.replayed_events;
+  outcome.profile.forked_replays = outcome.profile.timing.forked_replays;
+  outcome.profile.fork_copy_us += outcome.profile.timing.fork_copy_us;
   outcome.profile.rounds = result.rounds;
   outcome.profile.good_tree_size = result.good_tree_size;
   outcome.profile.bad_tree_size = result.bad_tree_size;

@@ -87,6 +87,8 @@ std::string render_profile_json(const DiagnoseProfile& profile,
       << ",\"rounds\":" << profile.rounds
       << ",\"replays\":" << profile.timing.replays
       << ",\"replayed_events\":" << profile.replayed_events
+      << ",\"forked_replays\":" << profile.forked_replays
+      << ",\"fork_copy_us\":" << us(profile.fork_copy_us)
       << ",\"good_tree_size\":" << profile.good_tree_size
       << ",\"bad_tree_size\":" << profile.bad_tree_size
       << ",\"vertices_delta\":" << vertices_delta

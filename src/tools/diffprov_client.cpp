@@ -86,8 +86,12 @@ void print_explain(const Json& response, std::ostream& out) {
       << static_cast<long long>(profile->get_number("rounds")) << " round(s), "
       << static_cast<long long>(profile->get_number("replays"))
       << " replay(s), "
+      << static_cast<long long>(profile->get_number("forked_replays"))
+      << " forked, "
       << static_cast<long long>(profile->get_number("replayed_events"))
-      << " replayed engine event(s))\n";
+      << " replayed engine event(s), "
+      << static_cast<long long>(profile->get_number("fork_copy_us"))
+      << " us copying fork points)\n";
   const Json* phases = profile->find("phases");
   if (phases != nullptr && phases->kind == Json::Kind::kObject) {
     for (const char* phase :
