@@ -59,24 +59,7 @@ void add_background(EventLog& log, std::size_t packets, Background where) {
     sdn::generate_trace(trace, log);
     return;
   }
-  // One logical tick is a microsecond of the capture, so a gap of g ticks
-  // between packets of b bytes is a rate of 8 b / g Mbps.
-  sdn::TraceConfig before;
-  before.max_packets = packets / 2;
-  before.duration_s = 1e6;
-  before.start_time = 200;
-  before.rate_mbps = 8.0 * static_cast<double>(before.packet_bytes) /
-                     (750.0 / static_cast<double>(before.max_packets));
-  sdn::generate_trace(before, log);
-  sdn::TraceConfig after;
-  after.seed = before.seed + 1;
-  after.max_packets = packets - before.max_packets;
-  after.duration_s = 1e6;
-  after.start_time = 1300;
-  after.first_packet_id =
-      before.first_packet_id + static_cast<int>(before.max_packets);
-  after.rate_mbps = 8.0 * static_cast<double>(after.packet_bytes) / 100.0;
-  sdn::generate_trace(after, log);
+  sdn::generate_straddling_trace(packets, 1, log);
 }
 
 Row run_sdn(sdn::Scenario s, std::size_t background_packets,

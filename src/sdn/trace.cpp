@@ -1,5 +1,6 @@
 #include "sdn/trace.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dp::sdn {
@@ -47,6 +48,30 @@ TraceStats generate_trace(const TraceConfig& config, EventLog& log) {
     stats.wire_bytes += config.packet_bytes;
   }
   return stats;
+}
+
+void generate_straddling_trace(std::size_t packets, std::uint64_t seed,
+                               EventLog& log) {
+  // One logical tick is a microsecond of the capture, so a gap of g ticks
+  // between packets of b bytes is a rate of 8 b / g Mbps.
+  TraceConfig before;
+  before.seed = seed;
+  before.max_packets = packets / 2;
+  before.duration_s = 1e6;
+  before.start_time = 200;
+  const double gap =
+      750.0 / static_cast<double>(std::max<std::size_t>(packets / 2, 1));
+  before.rate_mbps = 8.0 * static_cast<double>(before.packet_bytes) / gap;
+  generate_trace(before, log);
+  TraceConfig after;
+  after.seed = seed + 1;
+  after.max_packets = packets - before.max_packets;
+  after.duration_s = 1e6;
+  after.start_time = 1300;
+  after.first_packet_id =
+      before.first_packet_id + static_cast<int>(before.max_packets);
+  after.rate_mbps = 8.0 * static_cast<double>(after.packet_bytes) / 100.0;
+  generate_trace(after, log);
 }
 
 }  // namespace dp::sdn

@@ -43,4 +43,11 @@ struct TraceStats {
 /// a given config.
 TraceStats generate_trace(const TraceConfig& config, EventLog& log);
 
+/// Appends `packets` packets on both sides of the built-in scenarios'
+/// diagnosed packets (t=1000..1100), as perfbench's cold inputs place them:
+/// half in a dense burst over t=200..950 (trace seed `seed`), the rest from
+/// t=1300, one every 100 ticks (seed `seed` + 1).
+void generate_straddling_trace(std::size_t packets, std::uint64_t seed,
+                               EventLog& log);
+
 }  // namespace dp::sdn

@@ -105,7 +105,6 @@ DiagnoseOutcome diagnose_problem(const Problem& problem,
   }
 
   outcome.profile.replayed_events += outcome.profile.timing.replayed_events;
-  outcome.profile.forked_replays = outcome.profile.timing.forked_replays;
   outcome.profile.fork_copy_us += outcome.profile.timing.fork_copy_us;
   outcome.profile.rounds = result.rounds;
   outcome.profile.good_tree_size = result.good_tree_size;

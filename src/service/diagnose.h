@@ -45,9 +45,6 @@ struct DiagnoseProfile {
   /// replayed here and does not count). A forked replay counts the events
   /// it ran past its fork point.
   std::uint64_t replayed_events = 0;
-  /// UpdateTree replays forked from a fork point of the cold initial replay
-  /// instead of replayed from t=0 (LogReplayProvider).
-  int forked_replays = 0;
   /// Wall time spent taking fork points during the initial replay and
   /// copying them for the forked replays; part of the replay phases.
   double fork_copy_us = 0;

@@ -86,10 +86,15 @@ std::string render_profile_json(const DiagnoseProfile& profile,
       << ",\"other_us\":" << other << "}"
       << ",\"rounds\":" << profile.rounds
       << ",\"replays\":" << profile.timing.replays
-      << ",\"replayed_events\":" << profile.replayed_events
-      << ",\"forked_replays\":" << profile.forked_replays
-      << ",\"fork_copy_us\":" << us(profile.fork_copy_us)
-      << ",\"good_tree_size\":" << profile.good_tree_size
+      << ",\"replayed_events\":" << profile.replayed_events;
+  // Omitted, like trace_id, when the diagnosis took and copied no fork
+  // point (every session-served one): a finished ticket keeps its profile,
+  // and two always-zero keys would grow every retained ticket.
+  if (profile.timing.forked_replays > 0 || profile.fork_copy_us > 0) {
+    out << ",\"forked_replays\":" << profile.timing.forked_replays
+        << ",\"fork_copy_us\":" << us(profile.fork_copy_us);
+  }
+  out << ",\"good_tree_size\":" << profile.good_tree_size
       << ",\"bad_tree_size\":" << profile.bad_tree_size
       << ",\"vertices_delta\":" << vertices_delta
       << ",\"store_tuples\":" << store_tuples

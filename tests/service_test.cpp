@@ -786,6 +786,11 @@ TEST(Service, CompletedQueriesCarryAnExplainProfile) {
   EXPECT_FALSE(profile->get_bool("warm_hit")) << "first query replays cold";
   EXPECT_GE(profile->get_number("rounds"), 1);
   EXPECT_GT(profile->get_number("bad_tree_size"), 0);
+  // A session's run is replayed outside a LogReplayProvider, so it takes no
+  // fork points and its UpdateTree replays start from t=0: the profile
+  // omits the fork keys, which --explain then reads as 0.
+  EXPECT_EQ(profile->find("forked_replays"), nullptr);
+  EXPECT_EQ(profile->find("fork_copy_us"), nullptr);
 
   // The accounting invariant --explain relies on: the named phases plus the
   // other_us remainder sum *exactly* to total_us.
