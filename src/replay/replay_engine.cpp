@@ -68,26 +68,6 @@ void publish_graph(ProvenanceGraph& graph, const ReplayOptions& options) {
                             : obs::default_registry());
 }
 
-std::unique_ptr<Engine> restore_from_checkpoint(const Program& program,
-                                                const Topology& topology,
-                                                const Checkpoint& checkpoint,
-                                                const EventLog& log,
-                                                const EngineConfig& config) {
-  auto engine = std::make_unique<Engine>(program, config);
-  for (const Topology::Link& link : topology.links) {
-    engine->add_link(link.a, link.b, link.delay);
-  }
-  const LogicalTime at = checkpoint.captured_at();
-  for (const Tuple& tuple : checkpoint.base_tuples()) {
-    engine->schedule_insert(tuple, at);
-  }
-  for (const LogRecord& record : log.records()) {
-    if (record.time > at) schedule_record(*engine, record);
-  }
-  engine->run();
-  return engine;
-}
-
 void schedule_record(Engine& engine, const LogRecord& record) {
   if (record.op == LogRecord::Op::kInsert) {
     engine.schedule_insert(record.tuple(), record.time);

@@ -6,11 +6,9 @@
 // the replayed stream; this is the "clone the state, apply the change, roll
 // forward" operation of section 4.6, realized as replay (the clone never
 // touches the running system). Delta operations are applied "shortly before
-// they are needed": the caller sets each op's time.
-//
-// `restore_from_checkpoint` is the cheaper rebuild of section 4.8's "log of
-// tuple updates along with some checkpoints": state only, from a base-state
-// snapshot plus the log after it.
+// they are needed": the caller sets each op's time. Section 4.8's
+// checkpoints are Engine::fork() copies taken at a replay's pauses
+// (LogReplayProvider's fork points, diffprov.h).
 #pragma once
 
 #include <functional>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "provenance/recorder.h"
-#include "replay/checkpoint.h"
 #include "replay/event_log.h"
 #include "runtime/engine.h"
 
@@ -93,17 +90,6 @@ void schedule_delta(Engine& engine, const Delta& delta);
 /// Publishes a finished replay's graph alongside its engine: into the
 /// shared registry when the options wired one up, else the process-wide one.
 void publish_graph(ProvenanceGraph& graph, const ReplayOptions& options);
-
-/// Restores a fresh engine from `checkpoint` plus the records of `log` after
-/// its capture time (earlier ones are inside the checkpoint), run to
-/// quiescence. Records state only, no provenance: derived tuples reconverge
-/// at re-based times, so a caller that needs the original vertex times
-/// replays instead.
-std::unique_ptr<Engine> restore_from_checkpoint(const Program& program,
-                                                const Topology& topology,
-                                                const Checkpoint& checkpoint,
-                                                const EventLog& log,
-                                                const EngineConfig& config = {});
 
 /// Schedules one log record into `engine` at the record's time.
 void schedule_record(Engine& engine, const LogRecord& record);

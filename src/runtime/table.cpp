@@ -276,13 +276,4 @@ void Table::for_each_at(LogicalTime at,
   for (const TupleRef ref : alive) fn(store.resolve(ref));
 }
 
-std::vector<Tuple> Table::live_snapshot() const {
-  std::vector<Tuple> out;
-  out.reserve(live_.size());
-  // live_ is a hash map; sort by full tuple for determinism.
-  for (const auto& [key, row] : live_) out.push_back(row.tuple);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace dp

@@ -194,9 +194,6 @@ class Table {
   void for_each_at(LogicalTime at,
                    const std::function<void(const Tuple&)>& fn) const;
 
-  /// All live tuples, sorted.
-  [[nodiscard]] std::vector<Tuple> live_snapshot() const;
-
   /// Number of live tuples.
   [[nodiscard]] std::size_t live_count() const { return live_.size(); }
 

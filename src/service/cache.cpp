@@ -11,14 +11,14 @@ std::string make_cache_key(std::uint64_t log_hash, const std::string& bad,
          (minimize ? "min" : "raw") + "|" + std::to_string(config_epoch);
 }
 
-std::optional<CachedResult> ResultCache::get(const std::string& key) {
+SharedResult ResultCache::get(const std::string& key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
+  if (it == entries_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   return it->second.result;
 }
 
-void ResultCache::put(const std::string& key, CachedResult result) {
+void ResultCache::put(const std::string& key, SharedResult result) {
   if (capacity_ == 0) return;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -57,14 +57,14 @@ std::size_t StripedResultCache::stripe_of(const std::string& key) const {
 }
 
 StripedResultCache::Admission StripedResultCache::admit(
-    const std::string& key, CachedResult* hit,
+    const std::string& key, SharedResult* hit,
     const std::function<void(const std::shared_ptr<void>&)>& coalesce,
     const std::function<std::shared_ptr<void>()>& enqueue_leader) {
   Stripe& stripe = stripe_for(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  if (auto cached = stripe.entries.get(key)) {
+  if (SharedResult cached = stripe.entries.get(key)) {
     if (stripe.hits != nullptr) stripe.hits->inc();
-    if (hit != nullptr) *hit = std::move(*cached);
+    if (hit != nullptr) *hit = std::move(cached);
     return Admission::kHit;
   }
   if (auto it = stripe.inflight.find(key); it != stripe.inflight.end()) {
@@ -78,13 +78,13 @@ StripedResultCache::Admission StripedResultCache::admit(
 }
 
 void StripedResultCache::complete(const std::string& key,
-                                  const CachedResult& result) {
+                                  SharedResult result) {
   Stripe& stripe = stripe_for(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
   // Publish before dropping the in-flight entry (one critical section): a
   // duplicate submitted from here on hits the cache, one submitted before
   // this coalesced onto the leader -- no window starts a second run.
-  stripe.entries.put(key, result);
+  stripe.entries.put(key, std::move(result));
   stripe.inflight.erase(key);
 }
 
@@ -99,10 +99,10 @@ std::shared_ptr<void> StripedResultCache::take_inflight(
   return leader;
 }
 
-std::optional<CachedResult> StripedResultCache::get(const std::string& key) {
+SharedResult StripedResultCache::get(const std::string& key) {
   Stripe& stripe = stripe_for(key);
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto cached = stripe.entries.get(key);
+  SharedResult cached = stripe.entries.get(key);
   if (cached && stripe.hits != nullptr) stripe.hits->inc();
   return cached;
 }

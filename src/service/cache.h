@@ -29,7 +29,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,23 +54,28 @@ struct CachedResult {
   std::string profile_json;
 };
 
+/// A finished result is immutable once published: the cache entry and every
+/// ticket it answers (leader, coalesced duplicates, later hits) share it.
+using SharedResult = std::shared_ptr<const CachedResult>;
+
 class ResultCache {
  public:
   explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Returns the cached result and marks the entry most-recently-used.
-  std::optional<CachedResult> get(const std::string& key);
+  /// Returns the cached result (null if absent) and marks the entry
+  /// most-recently-used.
+  SharedResult get(const std::string& key);
 
   /// Inserts (or refreshes) an entry, evicting the least-recently-used
   /// entries beyond capacity. A zero-capacity cache stores nothing.
-  void put(const std::string& key, CachedResult result);
+  void put(const std::string& key, SharedResult result);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
   struct Entry {
-    CachedResult result;
+    SharedResult result;
     std::list<std::string>::iterator lru_pos;
   };
 
@@ -95,7 +99,7 @@ class StripedResultCache {
                      obs::MetricsRegistry* registry = nullptr);
 
   enum class Admission : std::uint8_t {
-    kHit,        ///< finished result copied out; nothing registered
+    kHit,        ///< finished result handed out; nothing registered
     kCoalesced,  ///< attached to the in-flight leader via `coalesce`
     kAccepted,   ///< `enqueue_leader`'s job registered as the new leader
     kShed        ///< `enqueue_leader` returned null; nothing registered
@@ -103,14 +107,14 @@ class StripedResultCache {
 
   /// Single-flight admission in one stripe critical section. Exactly one of
   /// the callbacks runs, under the stripe lock:
-  ///   * cached result present  -> copied into `*hit`, kHit;
+  ///   * cached result present  -> shared into `*hit`, kHit;
   ///   * leader in flight       -> coalesce(leader), kCoalesced;
   ///   * otherwise              -> enqueue_leader(); a non-null return is
   ///     registered as the in-flight leader (kAccepted), null means the
   ///     caller could not enqueue it -- queue full -- and nothing is
   ///     registered (kShed).
   Admission admit(
-      const std::string& key, CachedResult* hit,
+      const std::string& key, SharedResult* hit,
       const std::function<void(const std::shared_ptr<void>&)>& coalesce,
       const std::function<std::shared_ptr<void>()>& enqueue_leader);
 
@@ -118,7 +122,7 @@ class StripedResultCache {
   /// in-flight entry, inside one stripe critical section (see file comment).
   /// Harmless when the key is not in flight (a leader that skipped its run
   /// after every waiter cancelled already took itself out).
-  void complete(const std::string& key, const CachedResult& result);
+  void complete(const std::string& key, SharedResult result);
 
   /// Removes and returns the in-flight leader without publishing anything
   /// (the skip-the-run path: every waiter cancelled while queued). Null if
@@ -127,7 +131,7 @@ class StripedResultCache {
   std::shared_ptr<void> take_inflight(const std::string& key);
 
   /// Plain lookup (counts as a stripe hit/miss like admit does).
-  std::optional<CachedResult> get(const std::string& key);
+  SharedResult get(const std::string& key);
 
   [[nodiscard]] std::size_t size() const;        // entries across all stripes
   [[nodiscard]] std::uint64_t evictions() const;  // summed across stripes

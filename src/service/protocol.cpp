@@ -206,7 +206,7 @@ std::string handle_stats(DiagnosisService& service) {
     out << json_quote(key) << ":{\"queries\":" << s.queries
         << ",\"warm_hits\":" << s.warm_hits
         << ",\"cold_replays\":" << s.cold_replays << ",\"probes\":" << s.probes
-        << ",\"checkpoint_restores\":" << s.checkpoint_restores << "}";
+        << "}";
   }
   out << "}"
       << ",\"ingest\":{\"streams\":" << stats.ingest_streams

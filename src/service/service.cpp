@@ -133,8 +133,7 @@ std::string ServiceStats::to_text() const {
   for (const auto& [key, s] : per_session) {
     out << "  session " << key << ": queries " << s.queries << " warm_hits "
         << s.warm_hits << " cold_replays " << s.cold_replays << " probes "
-        << s.probes << " checkpoint_restores " << s.checkpoint_restores
-        << "\n";
+        << s.probes << "\n";
   }
   for (const auto& [name, s] : per_stream) {
     out << "  stream " << name << ": events " << s.events << " snapshots "
@@ -324,9 +323,25 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
   submitted_.inc();
   const std::uint64_t id = allocate_ticket(shard, now);
 
+  // The one way onto the shard's queue: a job for this ticket, or null when
+  // the queue is full.
+  const auto enqueue = [&]() -> std::shared_ptr<JobState> {
+    auto job = std::make_shared<JobState>();
+    job->key = key;
+    job->shard = shard.index;
+    job->session = session;
+    job->spec = spec;
+    job->cacheable = cacheable;
+    job->trace_id = query.trace_id;
+    job->ticket_ids.push_back(id);
+    if (!shard.queue.try_push(job)) return nullptr;
+    return job;
+  };
+  using Admission = StripedResultCache::Admission;
+  Admission admission;
+  SharedResult hit;
   if (cacheable) {
-    CachedResult hit;
-    const StripedResultCache::Admission admission = cache_.admit(
+    admission = cache_.admit(
         key, &hit,
         // Coalesce: attach this ticket to the running leader's list, under
         // the stripe lock (so the attach is ordered against the leader's
@@ -341,96 +356,50 @@ SubmitOutcome DiagnosisService::submit(const Query& query) {
         // queue takes the job. Pushing under the stripe lock keeps "leader
         // registered" and "job queued" atomic -- nobody can coalesce onto a
         // job the queue just rejected.
-        [&]() -> std::shared_ptr<void> {
-          auto job = std::make_shared<JobState>();
-          job->key = key;
-          job->shard = shard.index;
-          job->session = session;
-          job->spec = spec;
-          job->cacheable = true;
-          job->trace_id = query.trace_id;
-          job->ticket_ids.push_back(id);
-          if (!shard.queue.try_push(job)) return nullptr;
-          return job;
-        });
-    switch (admission) {
-      case StripedResultCache::Admission::kHit: {
-        cache_hits_.inc();
-        {
-          std::lock_guard<std::mutex> lock(shard.mutex);
-          auto it = shard.tickets.find(id);
-          if (it != shard.tickets.end()) {
-            it->second.state = QueryState::kDone;
-            it->second.cache_hit = true;
-            it->second.result = std::move(hit);
-          }
-          completed_.inc();
-          trim_tickets_locked(shard);
-        }
-        outcome.accepted = true;
-        outcome.id = id;
-        return outcome;
-      }
-      case StripedResultCache::Admission::kCoalesced: {
-        cache_misses_.inc();
-        coalesced_.inc();
-        {
-          std::lock_guard<std::mutex> lock(shard.mutex);
-          auto it = shard.tickets.find(id);
-          if (it != shard.tickets.end()) it->second.coalesced = true;
-        }
-        outcome.accepted = true;
-        outcome.id = id;
-        return outcome;
-      }
-      case StripedResultCache::Admission::kAccepted: {
-        cache_misses_.inc();
-        queue_depth_.add(1);
-        shard.queue_depth.set(
-            static_cast<std::int64_t>(shard.queue.size()));
-        outcome.accepted = true;
-        outcome.id = id;
-        return outcome;
-      }
-      case StripedResultCache::Admission::kShed: {
-        cache_misses_.inc();
-        shed_.inc();
-        {
-          std::lock_guard<std::mutex> lock(shard.mutex);
-          shard.tickets.erase(id);
-        }
-        outcome.shed = true;
-        outcome.error = "queue full (capacity " +
-                        std::to_string(shard.queue.capacity()) +
-                        "): query shed";
-        return outcome;
-      }
-    }
+        enqueue);
+    (admission == Admission::kHit ? cache_hits_ : cache_misses_).inc();
+  } else {
+    // Bypass: never reads or writes the cache, never coalesces -- one job,
+    // one run, straight onto the shard's queue.
+    admission = enqueue() != nullptr ? Admission::kAccepted : Admission::kShed;
   }
 
-  // Bypass: never reads or writes the cache, never coalesces -- one job, one
-  // run, straight onto the shard's queue.
-  auto job = std::make_shared<JobState>();
-  job->key = key;
-  job->shard = shard.index;
-  job->session = std::move(session);
-  job->spec = std::move(spec);
-  job->cacheable = false;
-  job->trace_id = query.trace_id;
-  job->ticket_ids.push_back(id);
-  if (!shard.queue.try_push(job)) {
-    shed_.inc();
-    {
+  switch (admission) {
+    case Admission::kHit: {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.tickets.erase(id);
+      auto it = shard.tickets.find(id);
+      if (it != shard.tickets.end()) {
+        it->second.state = QueryState::kDone;
+        it->second.cache_hit = true;
+        it->second.result = std::move(hit);
+      }
+      completed_.inc();
+      trim_tickets_locked(shard);
+      break;
     }
-    outcome.shed = true;
-    outcome.error = "queue full (capacity " +
-                    std::to_string(shard.queue.capacity()) + "): query shed";
-    return outcome;
+    case Admission::kCoalesced: {
+      coalesced_.inc();
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      auto it = shard.tickets.find(id);
+      if (it != shard.tickets.end()) it->second.coalesced = true;
+      break;
+    }
+    case Admission::kAccepted:
+      queue_depth_.add(1);
+      shard.queue_depth.set(static_cast<std::int64_t>(shard.queue.size()));
+      break;
+    case Admission::kShed: {
+      shed_.inc();
+      {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        shard.tickets.erase(id);
+      }
+      outcome.shed = true;
+      outcome.error = "queue full (capacity " +
+                      std::to_string(shard.queue.capacity()) + "): query shed";
+      return outcome;
+    }
   }
-  queue_depth_.add(1);
-  shard.queue_depth.set(static_cast<std::int64_t>(shard.queue.size()));
   outcome.accepted = true;
   outcome.id = id;
   return outcome;
@@ -498,9 +467,10 @@ void DiagnosisService::run_job(Shard& shard,
   queue_depth_.add(-1);
   shard.queue_depth.set(static_cast<std::int64_t>(shard.queue.size()));
 
-  std::vector<std::uint64_t> ids = ticket_ids_of(*job);
-  bool any_live = false;
-  {
+  // Marks the job's still-queued tickets running; false if none was.
+  const auto start_queued_tickets = [&] {
+    const std::vector<std::uint64_t> ids = ticket_ids_of(*job);
+    bool any_live = false;
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (const std::uint64_t id : ids) {
       auto it = shard.tickets.find(id);
@@ -513,7 +483,9 @@ void DiagnosisService::run_job(Shard& shard,
       queue_wait_us_.observe(it->second.queue_us);
       any_live = true;
     }
-  }
+    return any_live;
+  };
+  bool any_live = start_queued_tickets();
   if (!any_live && job->cacheable) {
     // Everyone we know about cancelled while we were queued. Retire the
     // leadership first, then re-check: a duplicate may have coalesced onto
@@ -521,19 +493,7 @@ void DiagnosisService::run_job(Shard& shard,
     // is waiting on us -- run anyway (worst case one redundant run in a
     // vanishingly rare race; never a ticket stuck forever).
     cache_.take_inflight(job->key);
-    ids = ticket_ids_of(*job);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const std::uint64_t id : ids) {
-      auto it = shard.tickets.find(id);
-      if (it == shard.tickets.end() ||
-          it->second.state != QueryState::kQueued) {
-        continue;
-      }
-      it->second.state = QueryState::kRunning;
-      it->second.queue_us = micros_between(it->second.submitted_at, started_at);
-      queue_wait_us_.observe(it->second.queue_us);
-      any_live = true;
-    }
+    any_live = start_queued_tickets();
   }
   if (!any_live) return;
 
@@ -621,12 +581,13 @@ void DiagnosisService::run_job(Shard& shard,
   // submitted at any moment either coalesced onto this job (its id is in
   // ticket_ids by the time we snapshot below -- coalescing happens under the
   // same stripe lock) or will hit the cache.
-  if (job->cacheable) cache_.complete(job->key, result);
-  ids = ticket_ids_of(*job);
+  const auto shared = std::make_shared<const CachedResult>(std::move(result));
+  if (job->cacheable) cache_.complete(job->key, shared);
+  const std::vector<std::uint64_t> ids = ticket_ids_of(*job);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (const std::uint64_t id : ids) {
-      complete_locked(shard, id, result, exec_us, finished_at);
+      complete_locked(shard, id, shared, exec_us, finished_at);
     }
     trim_tickets_locked(shard);
   }
@@ -679,7 +640,7 @@ void DiagnosisService::dump_slowz_to_stderr(const std::string& reason) const {
 }
 
 void DiagnosisService::complete_locked(
-    Shard& shard, std::uint64_t id, const CachedResult& result,
+    Shard& shard, std::uint64_t id, const SharedResult& result,
     double exec_us, std::chrono::steady_clock::time_point now) {
   auto it = shard.tickets.find(id);
   if (it == shard.tickets.end()) return;
@@ -716,7 +677,7 @@ QueryStatus DiagnosisService::status_of(const Ticket& ticket) {
   status.state = ticket.state;
   status.cache_hit = ticket.cache_hit;
   status.coalesced = ticket.coalesced;
-  status.result = ticket.result;
+  if (ticket.result != nullptr) status.result = *ticket.result;
   status.queue_us = ticket.queue_us;
   status.exec_us = ticket.exec_us;
   return status;
@@ -780,8 +741,13 @@ SubmitOutcome DiagnosisService::probe(const std::string& scenario,
   // Probes run on the caller's (connection) thread; scope its spans to the
   // client's trace the same way run_job does for diagnoses.
   obs::ScopedTraceContext trace_scope({trace_id, 0});
-  std::lock_guard<std::mutex> session_lock(session->mutex());
-  live = session->probe_live(tuple);
+  {
+    std::lock_guard<std::mutex> session_lock(session->mutex());
+    live = session->probe_live(tuple);
+  }
+  // The probe may have warmed the session: re-apply the budget now that the
+  // session lock is released, as run_job does.
+  shard.sessions.enforce_budget();
   outcome.accepted = true;
   return outcome;
 }

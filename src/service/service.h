@@ -83,9 +83,9 @@ struct ServiceConfig {
   /// session's resident provenance-graph footprint
   /// (dp.service.session.resident_bytes). Shards spend it through a shared
   /// ledger -- a hot shard may exceed its nominal share while other shards
-  /// leave the budget unused -- and LRU sessions are cooled to their
-  /// checkpoint tier while the global total is exceeded. 0 = no byte budget
-  /// (session-count cap only).
+  /// leave the budget unused -- and LRU sessions are cooled to their log
+  /// while the global total is exceeded. 0 = no byte budget (session-count
+  /// cap only).
   std::uint64_t warm_bytes_budget = 512ull << 20;
   /// Total result-cache entries, split across `cache_stripes`.
   std::size_t cache_capacity = 256;
@@ -240,9 +240,10 @@ class DiagnosisService {
   bool cancel(std::uint64_t id);
 
   /// Live-state probe: is `tuple_text` live at the end of the scenario's
-  /// recorded execution? Served from the session's warm engine or its
-  /// checkpoint tier -- never a full replay once the session has one.
-  /// `trace_id` (0 = none) scopes the probe's spans to the client's trace.
+  /// recorded execution? Served from the session's warm engine; a cooled
+  /// session replays its log first, and the warm-set budget is re-applied
+  /// afterwards. `trace_id` (0 = none) scopes the probe's spans to the
+  /// client's trace.
   [[nodiscard]] SubmitOutcome probe(const std::string& scenario,
                                     const std::string& tuple_text, bool& live,
                                     std::uint64_t trace_id = 0);
@@ -287,7 +288,7 @@ class DiagnosisService {
     QueryState state = QueryState::kQueued;
     bool cache_hit = false;
     bool coalesced = false;
-    CachedResult result;
+    SharedResult result;  // set once kDone
     std::chrono::steady_clock::time_point submitted_at;
     double queue_us = 0;
     double exec_us = 0;
@@ -365,7 +366,7 @@ class DiagnosisService {
   std::uint64_t allocate_ticket(Shard& shard,
                                 std::chrono::steady_clock::time_point now);
   void complete_locked(Shard& shard, std::uint64_t id,
-                       const CachedResult& result, double exec_us,
+                       const SharedResult& result, double exec_us,
                        std::chrono::steady_clock::time_point now);
   void trim_tickets_locked(Shard& shard);
   /// Snapshot of the job's ticket list (ids_mutex held briefly).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -76,9 +77,6 @@ void WarmSession::append(const LogRecord& record) {
   note_record(record);
   ++stats_.events;
   if (events_counter_ != nullptr) events_counter_->inc();
-  // The checkpoint covers the old log only; a later probe warms instead.
-  checkpoint_.reset();
-  probe_engine_.reset();
 }
 
 void WarmSession::feed(const LogRecord& record) {
@@ -154,11 +152,6 @@ void WarmSession::replay_log() {
   run->state = std::make_shared<EngineStateView>(engine_);
   run_ = std::move(run);
   warmed_ = true;
-
-  // First warm-up doubles as checkpoint time: the engine is quiescent here,
-  // so the snapshot covers the whole recorded history and probe restores
-  // replay an empty suffix.
-  if (!checkpoint_) checkpoint_ = Checkpoint::capture(*engine_);
   update_resident();
 }
 
@@ -190,31 +183,16 @@ void WarmSession::update_resident() {
 }
 
 void WarmSession::cool() {
-  if (engine_ == nullptr && probe_engine_ == nullptr) return;
+  if (engine_ == nullptr) return;
   drop_run();
-  probe_engine_.reset();
   registry_->counter("dp.service.session.evictions").inc();
 }
 
 bool WarmSession::probe_live(const Tuple& tuple) {
   ++stats_.probes;
   registry_->counter("dp.service.session.probes").inc();
-  if (engine_ != nullptr) return engine_->is_live(tuple);
-  if (probe_engine_ != nullptr) return probe_engine_->is_live(tuple);
-  if (checkpoint_) {
-    DP_SPAN_CAT("dp.service.session.checkpoint_restore", "service");
-    ++stats_.checkpoint_restores;
-    registry_->counter("dp.service.session.checkpoint_restores").inc();
-    probe_engine_ =
-        restore_from_checkpoint(problem_.program, problem_.topology,
-                                *checkpoint_, problem_.log,
-                                options_.engine_config);
-    return probe_engine_->is_live(tuple);
-  }
-  // Never queried (or appended to since), so no checkpoint exists: warm up
-  // fully (this also captures the checkpoint for the session's later cooled
-  // life).
-  ensure_warm();
+  // A cooled or never-queried session replays its log, as a query would.
+  if (engine_ == nullptr) ensure_warm();
   return engine_->is_live(tuple);
 }
 

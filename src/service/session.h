@@ -17,16 +17,13 @@
 // and the next query replays the log -- warm-session cost, never a wrong
 // answer.
 //
-// On first warm-up the session also captures a Checkpoint of the engine's
-// base state: the cheap tier that survives cooling (LRU beyond max_warm or
-// the byte budget), which drops the resident run but keeps the log. Live-
-// state probes on a cooled session restore an engine from the checkpoint
-// plus the log suffix -- the paper's "log of tuple updates along with some
-// checkpoints". An append drops the checkpoint, so a later probe warms from
-// the full log. A full diagnosis on a cooled session replays again:
-// provenance vertex times must match the original history, and a restore
-// re-bases them. Metrics: dp.service.session.{cold_replays,warm_hits,
-// checkpoint_restores,evictions}; a stream reports under dp.ingest.*.
+// Cooling (LRU beyond max_warm or the byte budget) drops the resident run
+// and keeps only the log. The next query or live-state probe on a cooled
+// session replays that log and is warm again, so a probe answers from the
+// same engine a diagnosis reads and its bytes count in resident_bytes().
+// (Paper section 4.8's checkpoints are UpdateTree's fork points, diffprov.h;
+// a session holds none.) Metrics: dp.service.session.{cold_replays,
+// warm_hits,probes,evictions}; a stream reports under dp.ingest.*.
 //
 // Engines are single-threaded, so each session carries a mutex: queries and
 // appends serialize per session while different sessions proceed in
@@ -38,14 +35,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "diffprov/diffprov.h"
 #include "obs/metrics.h"
-#include "replay/checkpoint.h"
 #include "service/problem.h"
 
 namespace dp::service {
@@ -58,7 +53,6 @@ struct SessionStats {
   /// cool or a stale append.
   std::uint64_t live_rebuilds = 0;
   std::uint64_t probes = 0;  // live-state probes
-  std::uint64_t checkpoint_restores = 0;
   std::uint64_t events = 0;          // records appended after open
   std::uint64_t resident_bytes = 0;  // WarmSession::resident_bytes()
   LogicalTime watermark = 0;         // newest record time in the log
@@ -121,14 +115,12 @@ class WarmSession {
     return resident_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Drops the resident run and probe engine; the log and the checkpoint
-  /// (if one was captured) survive. Caller holds mutex().
+  /// Drops the resident run; the log survives. Caller holds mutex().
   void cool();
 
   /// Is `tuple` live at the end of the recorded execution? Served from the
-  /// resident engine when warm; on a cooled session, from an engine restored
-  /// from the checkpoint + log suffix (no full replay). Caller holds
-  /// mutex().
+  /// resident engine; a cooled session warms first (ensure_warm). Caller
+  /// holds mutex().
   bool probe_live(const Tuple& tuple);
 
   [[nodiscard]] SessionStats stats() const;  // caller holds mutex()
@@ -153,9 +145,6 @@ class WarmSession {
   std::shared_ptr<const BadRun> run_;
   bool warmed_ = false;  // a run was ever resident: the next replay rebuilds
   bool fed_ = false;     // records fed since the last drain
-  // Cheap tier: base-state snapshot at quiescence + restored probe engine.
-  std::optional<Checkpoint> checkpoint_;
-  std::unique_ptr<Engine> probe_engine_;
 
   SessionStats stats_;
   std::atomic<std::uint64_t> hash_{0xcbf29ce484222325ull};
@@ -204,11 +193,10 @@ class WarmBudgetLedger {
 /// Keyed store of warm sessions -- scenarios, inline problems and live
 /// streams -- with an LRU warm-set budget driven by *measured* footprint:
 /// sessions report the resident bytes of their warm run, and
-/// least-recently-used sessions are cooled to their checkpoint tier while
-/// the warm set exceeds the byte budget (see WarmBudgetLedger) or
-/// `max_warm` sessions. The most recently used session is never cooled, and
-/// neither is a session a worker is inside (eviction try-locks and skips
-/// busy sessions).
+/// least-recently-used sessions are cooled to their log while the warm set
+/// exceeds the byte budget (see WarmBudgetLedger) or `max_warm` sessions.
+/// The most recently used session is never cooled, and neither is a session
+/// a worker is inside (eviction try-locks and skips busy sessions).
 class SessionManager {
  public:
   /// Standalone manager (the single-shard service and the tests): owns a

@@ -274,6 +274,57 @@ TEST(EngineFork, AForkPublishesOnlyTheEventsItProcesses) {
   EXPECT_EQ(engine.stats().events_processed, fork->stats().events_processed);
 }
 
+TEST(EngineFork, AMidLogForkFedTheRestMatchesBatchReplay) {
+  // Section 4.8's checkpoint is a fork. An engine fed the first half of
+  // SDN2's log and advanced to just before the next record's time is forked
+  // with a copy of its recorder, as LogReplayProvider::fork_from copies a
+  // point; records it still has queued travel with the fork. Fed the rest
+  // of the log and run, the fork must hold batch replay's state in every
+  // table -- base, derived and event-derived -- and its graph.
+  const sdn::Scenario sdn2 = sdn::sdn2();
+  std::vector<LogRecord> records = sdn2.log.records();
+  std::stable_sort(
+      records.begin(), records.end(),
+      [](const LogRecord& a, const LogRecord& b) { return a.time < b.time; });
+  const std::size_t half = records.size() / 2;
+  const LogicalTime cut = records[half].time - 1;
+
+  Engine engine(sdn2.program);
+  for (const Topology::Link& link : sdn2.topology.links) {
+    engine.add_link(link.a, link.b, link.delay);
+  }
+  ProvenanceRecorder recorder;
+  engine.add_observer(&recorder);
+  for (std::size_t i = 0; i < half; ++i) schedule_record(engine, records[i]);
+  engine.run_until(cut);
+
+  const std::unique_ptr<Engine> fork = engine.fork();
+  ProvenanceRecorder fork_recorder(recorder);
+  fork->add_observer(&fork_recorder);
+  for (std::size_t i = half; i < records.size(); ++i) {
+    schedule_record(*fork, records[i]);
+  }
+  fork->run();
+
+  const ReplayResult batch = replay(sdn2.program, sdn2.topology, sdn2.log);
+  const LogicalTime end = batch.engine->now();
+  ASSERT_NE(tables_at(engine, end), tables_at(*batch.engine, end))
+      << "the second half must change the state, or the fork is not fed";
+  EXPECT_EQ(graph_mismatch(fork_recorder.graph(), batch.graph()), "");
+  expect_same_stats(fork->stats(), batch.engine->stats());
+  EXPECT_EQ(fork->now(), end);
+  for (const auto& [name, decl] : sdn2.program.tables()) {
+    EXPECT_EQ(fork->live_tuples(name), batch.engine->live_tuples(name))
+        << name;
+  }
+  std::set<LogicalTime> times = {cut, end};
+  for (const LogRecord& record : records) times.insert(record.time);
+  for (const LogicalTime at : times) {
+    EXPECT_EQ(tables_at(*fork, at), tables_at(*batch.engine, at))
+        << "tables at t=" << at;
+  }
+}
+
 // ---------------------------------------------------------- real replays --
 
 class SdnFork : public ::testing::TestWithParam<std::size_t> {};

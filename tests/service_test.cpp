@@ -78,12 +78,16 @@ TEST(BoundedQueue, CloseAndClearReturnsOrphans) {
   EXPECT_EQ(queue.pop(), std::nullopt);
 }
 
+SharedResult result_of(const std::string& out) {
+  return std::make_shared<const CachedResult>(CachedResult{0, out, "", ""});
+}
+
 TEST(ResultCache, LruEvictionKeepsRecentlyUsed) {
   ResultCache cache(2);
-  cache.put("a", {0, "A", "", ""});
-  cache.put("b", {0, "B", "", ""});
+  cache.put("a", result_of("A"));
+  cache.put("b", result_of("B"));
   EXPECT_TRUE(cache.get("a"));  // refresh a; b is now LRU
-  cache.put("c", {0, "C", "", ""});
+  cache.put("c", result_of("C"));
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_FALSE(cache.get("b"));
   EXPECT_TRUE(cache.get("a"));
@@ -124,8 +128,9 @@ TEST(StripedResultCache, SingleFlightAdmissionPerKey) {
 
   // complete() publishes and retires the leader in one critical section:
   // from here on duplicates hit the cache, and the in-flight entry is gone.
-  cache.complete("key", {0, "answer", "", ""});
-  CachedResult hit;
+  const SharedResult answer = result_of("answer");
+  cache.complete("key", answer);
+  SharedResult hit;
   admission = cache.admit(
       "key", &hit, [](const std::shared_ptr<void>&) { FAIL(); },
       []() -> std::shared_ptr<void> {
@@ -133,7 +138,7 @@ TEST(StripedResultCache, SingleFlightAdmissionPerKey) {
         return nullptr;
       });
   EXPECT_EQ(admission, StripedResultCache::Admission::kHit);
-  EXPECT_EQ(hit.out, "answer");
+  EXPECT_EQ(hit, answer) << "a hit shares the cached result, never copies it";
   EXPECT_EQ(cache.take_inflight("key"), nullptr);
 }
 
@@ -175,10 +180,10 @@ TEST(StripedResultCache, LruIsPerStripeAndHitsCountPerStripe) {
   }
   ASSERT_EQ(same_stripe.size(), 3u);
 
-  cache.complete(same_stripe[0], {0, "0", "", ""});
-  cache.complete(same_stripe[1], {0, "1", "", ""});
+  cache.complete(same_stripe[0], result_of("0"));
+  cache.complete(same_stripe[1], result_of("1"));
   EXPECT_TRUE(cache.get(same_stripe[0]));  // refresh: [1] becomes the LRU
-  cache.complete(same_stripe[2], {0, "2", "", ""});
+  cache.complete(same_stripe[2], result_of("2"));
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_FALSE(cache.get(same_stripe[1]));
   EXPECT_TRUE(cache.get(same_stripe[0]));
@@ -558,34 +563,78 @@ TEST(SessionManager, StatsNeverStallLookupsBehindABusySession) {
   EXPECT_NE(lookup.get(), nullptr) << lookup_error;
 }
 
-TEST(WarmSession, CooledProbesRestoreFromTheCheckpoint) {
+TEST(WarmSession, ACooledProbeWarmsAndAnswersAsTheWarmRun) {
+  // A cooled session keeps only its log, so a probe replays it. Tuples
+  // derived from event tables (SDN1's delivered packet, MR1-D's word count
+  // from job input) must answer as they do on the warm run, like base ones.
+  struct Probe {
+    std::string tuple;
+    bool live;
+  };
+  const std::vector<std::pair<std::string, std::vector<Probe>>> cases = {
+      {"sdn1",
+       {{"delivered(@w2, 2, 4.3.3.1, 8.8.1.1)", true},
+        {"policyRoute(@ctl, \"sw2\", 100, 4.3.2.0/24, \"sw6\")", true},
+        {"policyRoute(@ctl, \"sw2\", 100, 9.9.9.0/24, \"sw6\")", false}}},
+      {"mr1-d", {{"wordCount(@rd0, \"word01\", 11)", true}}},
+  };
+  for (const auto& [scenario, probes] : cases) {
+    obs::MetricsRegistry registry;
+    std::ostringstream err;
+    std::optional<Problem> problem = builtin_scenario(scenario, err);
+    ASSERT_TRUE(problem.has_value()) << err.str();
+    WarmSession session(scenario, std::move(*problem), ReplayOptions{},
+                        registry);
+    std::lock_guard<std::mutex> lock(session.mutex());
+    session.ensure_warm();
+    for (const Probe& probe : probes) {
+      EXPECT_EQ(session.probe_live(parse_tuple(probe.tuple)), probe.live)
+          << scenario << " warm: " << probe.tuple;
+    }
+    session.cool();
+    ASSERT_FALSE(session.is_warm());
+    for (const Probe& probe : probes) {
+      EXPECT_EQ(session.probe_live(parse_tuple(probe.tuple)), probe.live)
+          << scenario << " cooled: " << probe.tuple;
+    }
+    // The probe warmed the session: its engine is the resident run, and
+    // its bytes are counted.
+    EXPECT_TRUE(session.is_warm());
+    EXPECT_GT(session.resident_bytes(), 0u);
+    EXPECT_EQ(session.stats().cold_replays, 2u);
+    EXPECT_EQ(registry.counter("dp.service.session.evictions").value(), 1u);
+  }
+}
+
+TEST(Service, AProbeOfACooledSessionWarmsItWithinTheWarmSetCap) {
   obs::MetricsRegistry registry;
-  std::ostringstream err;
-  std::optional<Problem> problem = builtin_scenario("sdn1", err);
-  ASSERT_TRUE(problem.has_value()) << err.str();
-  WarmSession session("sdn1", std::move(*problem), ReplayOptions{}, registry);
-  const Tuple present =
-      parse_tuple("policyRoute(@ctl, \"sw2\", 100, 4.3.2.0/24, \"sw6\")");
-  const Tuple absent =
-      parse_tuple("policyRoute(@ctl, \"sw2\", 100, 9.9.9.0/24, \"sw6\")");
+  ServiceConfig config;
+  config.metrics = &registry;
+  config.max_warm_sessions = 1;
+  DiagnosisService service(config);
+  const auto warm = [&service](const std::string& key) {
+    for (const auto& [name, s] : service.stats().per_session) {
+      if (name == key) return s.resident_bytes > 0;
+    }
+    return false;
+  };
+  const std::string bad = "delivered(@w2, 2, 4.3.3.1, 8.8.1.1)";
 
-  std::lock_guard<std::mutex> lock(session.mutex());
-  session.ensure_warm();
-  const bool warm_present = session.probe_live(present);
-  const bool warm_absent = session.probe_live(absent);
-  EXPECT_TRUE(warm_present);
-  EXPECT_FALSE(warm_absent);
+  bool live = false;
+  ASSERT_TRUE(service.probe("sdn1", bad, live).ok());
+  EXPECT_TRUE(live);
+  EXPECT_TRUE(warm("sdn1"));
 
-  // Cooled, the session answers from checkpoint + log suffix: the same
-  // answers, one restore shared by both probes, and no second replay.
-  session.cool();
-  EXPECT_EQ(session.probe_live(present), warm_present);
-  EXPECT_EQ(session.probe_live(absent), warm_absent);
-  EXPECT_FALSE(session.is_warm());
-  EXPECT_EQ(session.stats().checkpoint_restores, 1u);
-  EXPECT_EQ(session.stats().cold_replays, 1u);
-  EXPECT_EQ(registry.counter("dp.service.session.checkpoint_restores").value(),
-            1u);
+  Query query;
+  query.scenario = "sdn2";
+  EXPECT_EQ(wait_done(service, service.submit(query)).result.exit_code, 0);
+  ASSERT_FALSE(warm("sdn1")) << "the sdn2 query must cool sdn1";
+
+  live = false;
+  ASSERT_TRUE(service.probe("sdn1", bad, live).ok());
+  EXPECT_TRUE(live);
+  EXPECT_TRUE(warm("sdn1"));
+  EXPECT_LE(service.stats().warm_sessions, 1u);
 }
 
 TEST(Service, BypassCacheAlwaysRuns) {
